@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-all lint docs-check perflint sanitize racecheck bench bench-quick bench-kernel reproduce reproduce-quick examples clean
+.PHONY: install test test-fast test-all lint docs-check perflint sanitize racecheck bench bench-quick reproduce reproduce-quick examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -37,8 +37,8 @@ docs-check:
 
 # Hot-path cost analysis: kernel hot set + REP017-021 (allocation,
 # __slots__, telemetry formatting, attribute reloads, linear scans),
-# with the static hot set cross-checked against dynamic TimingProfiler
-# attribution (--validate runs the steady bench scenario once).
+# with the static hot set cross-checked against dynamic KernelProfiler
+# attribution (--validate runs steady COOP for 120 sim-s once).
 perflint:
 	$(PYTHON) -m repro lint src/repro --perf --strict \
 		--format json --out results/reprolint-perf.json
@@ -61,12 +61,6 @@ bench:
 
 bench-quick:
 	REPRO_QUICK=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Kernel speed + observability overhead vs the committed baseline,
-# then the provenance-stamped trajectory (benchmarks/TREND.jsonl).
-bench-kernel:
-	$(PYTHON) -m repro bench --gate --out results/BENCH_kernel.json
-	$(PYTHON) -m repro bench --trend
 
 # One-command artifact regeneration: every registered artifact (paper
 # figures/tables, BENCH_* documents, analysis reports) is rebuilt into

@@ -57,9 +57,10 @@ def test_store_handoff(benchmark):
 
 
 def test_kernel_profiled_churn(benchmark):
-    """The same timeout ping-pong with a kernel monitor attached.
+    """The same timeout ping-pong with the kernel profiler attached.
 
-    Tracks the cost of the opt-in profiling hooks relative to
+    Tracks the cost of the opt-in profiling hooks (per-owner counts plus
+    per-event wall-time attribution) relative to
     ``test_kernel_timeout_churn`` (the monitor-free fast path).
     """
 

@@ -21,8 +21,8 @@ with the cost rules REP017–REP021:
   ``insert(0, ...)``.
 
 The analysis is **profile-guided**: :func:`validate_against_profile`
-cross-checks the static hot set against the dynamic ``TimingProfiler``
-attribution (``repro profile --time`` / ``repro bench``), reporting how
+cross-checks the static hot set against the dynamic ``KernelProfiler``
+attribution (the tables ``repro profile`` prints), reporting how
 much of the measured top-N wall time the static model covers (recall)
 and how much of the static hot set the profile confirms (precision),
 and ranks the rules by the measured wall-time weight of the code they
@@ -487,14 +487,15 @@ def _scan_findings(graph: CallGraph, fn: FunctionInfo) -> List[Finding]:
 # profile-guided validation
 
 
-def validate_against_profile(result: "PerfResult", scenario: str = "steady",
+def validate_against_profile(result: "PerfResult",
                              top_n: int = 10) -> Dict[str, Any]:
     """Cross-check the static hot set against dynamic wall-time attribution.
 
-    Runs the named bench scenario once with the TimingProfiler attached
-    (the same machinery as ``repro profile --time`` / ``repro bench``)
-    and compares per-subsystem wall time against the subsystems the
-    static hot set predicts:
+    Runs steady COOP (SMALL profile, seed 0, 120 sim-s) once with a
+    :class:`~repro.obs.kernelprof.KernelProfiler` as the world's kernel
+    monitor (the same tables ``repro profile`` prints) and compares
+    per-subsystem wall time against the subsystems the static hot set
+    predicts:
 
     * **recall** — share of the dynamic top-``top_n`` wall time whose
       subsystem contains at least one statically-hot function (the
@@ -507,13 +508,15 @@ def validate_against_profile(result: "PerfResult", scenario: str = "steady",
 
     The result is stored on ``result.validation`` and returned.
     """
-    from repro.obs.kernelprof import subsystem_of_path
-    from repro.obs.perf import SCENARIOS, measure_attribution
+    from repro.experiments.configs import version
+    from repro.experiments.profiles import SMALL
+    from repro.experiments.runner import build_world
+    from repro.obs.kernelprof import KernelProfiler, subsystem_of_path
 
-    attribution, digest = measure_attribution(SCENARIOS[scenario],
-                                              top_n=top_n)
-    by_subsystem: Dict[str, float] = attribution.get("by_subsystem", {})
-    top = sorted(by_subsystem.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+    profiler = KernelProfiler()
+    world = build_world(version("COOP"), SMALL, seed=0, monitor=profiler)
+    world.env.run(until=120.0)
+    top = profiler.top_times("subsystem", top_n)
 
     static_subsystems: Set[str] = {
         subsystem_of_path(result.graph.functions[qual].path)
@@ -524,7 +527,8 @@ def validate_against_profile(result: "PerfResult", scenario: str = "steady",
     missed = [s for s, _ in top if s not in static_subsystems]
     recall = (sum(t for _, t in covered) / total) if total > 0 else 1.0
 
-    dynamic_nonzero = {s for s, t in by_subsystem.items() if t > 0}
+    dynamic_nonzero = {s for s, t in profiler.time_by_subsystem.items()
+                       if t > 0}
     precision = (len(static_subsystems & dynamic_nonzero)
                  / len(static_subsystems)) if static_subsystems else 1.0
 
@@ -536,7 +540,7 @@ def validate_against_profile(result: "PerfResult", scenario: str = "steady",
                                    weight_of.get(sub, 0.0))
 
     doc: Dict[str, Any] = {
-        "scenario": scenario,
+        "scenario": "steady",
         "top_n": top_n,
         "dynamic_top": [{"subsystem": s, "seconds": t} for s, t in top],
         "static_subsystems": sorted(static_subsystems),
@@ -547,7 +551,6 @@ def validate_against_profile(result: "PerfResult", scenario: str = "steady",
         "missed_subsystems": missed,
         "rule_weights": dict(sorted(rule_weights.items(),
                                     key=lambda kv: (-kv[1], kv[0]))),
-        "digest": digest,
     }
     result.validation = doc
     return doc

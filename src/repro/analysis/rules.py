@@ -71,15 +71,11 @@ RULES: Dict[str, Rule] = {
                 # time or per-run results.
                 "parallel/executor.py",
                 "parallel/worker.py",
-                # The performance-observability layer times the *host*:
-                # TimingProfiler brackets callback batches with
-                # perf_counter, and the bench harness/provenance stamps
-                # measure wall time and record timestamps.  None of it
-                # flows into simulated time or any digested stream (the
-                # bench's cross-mode digest equality pins exactly that).
+                # The kernel profiler times the *host*: KernelProfiler
+                # brackets callback batches with perf_counter.  None of
+                # it flows into simulated time or any digested stream
+                # (the telemetry-invariance test pins exactly that).
                 "obs/kernelprof.py",
-                "obs/perf.py",
-                "repro/bench.py",
             ),
             sim_only=True,
         ),

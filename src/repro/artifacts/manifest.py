@@ -13,8 +13,7 @@ artifact carrying
   the drift messages, if any,
 
 plus run-level provenance (git SHA + dirty flag, host fingerprint,
-python/cpu, timestamp — the same stamp ``benchmarks/TREND.jsonl``
-records use, from :func:`repro.obs.perf.provenance`).
+python/cpu, timestamp; :func:`provenance`).
 
 The manifest is the machine-readable pass/fail summary of the whole
 artifact set: ``summary.ok`` is the one bit CI gates on.
@@ -24,6 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Tuple, Union
@@ -44,6 +47,44 @@ def sha256_file(path: Union[str, Path]) -> Tuple[str, int]:
             digest.update(chunk)
             size += len(chunk)
     return digest.hexdigest(), size
+
+
+def _git(*args: str) -> Optional[str]:
+    """stdout of one git command run in this package's own checkout (not
+    the caller's working directory), or None if git fails/is absent."""
+    try:
+        proc = subprocess.run(["git", *args], capture_output=True, text=True,
+                              check=False, cwd=Path(__file__).resolve().parent)
+    except OSError:
+        return None
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip()
+
+
+def provenance() -> Dict[str, Any]:
+    """Where/when/what produced a manifest.
+
+    Host identity is both readable (``host``) and stable
+    (``host_fingerprint``) so runs measured on different machines can be
+    told apart instead of mixing incomparable wall times.
+    """
+    sha = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain") if sha is not None else None
+    fingerprint = hashlib.sha256("|".join((
+        platform.node(), platform.machine(), platform.processor(),
+        str(os.cpu_count()),
+    )).encode("utf-8")).hexdigest()[:12]
+    return {
+        "git_sha": sha or "unknown",
+        "git_dirty": bool(status) if status is not None else None,
+        "host": platform.node(),
+        "host_fingerprint": fingerprint,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "timestamp": time.time(),
+    }
 
 
 @dataclass

@@ -26,7 +26,7 @@ in ``ARTIFACTS.md``):
 Comparison semantics under ``--check`` follow the repo convention:
 digest-backed outputs are compared exactly or value-exactly, while
 host-dependent speed numbers use the existing gate tolerances (the
-±20 % events/sec floor, the ≥4-core guard for speedup floors).
+≥4-core guard for speedup floors).
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 #: AA drift is judged on the unavailability axis (relative), AT relatively
 UNAVAILABILITY_RTOL = 0.35
 THROUGHPUT_RTOL = 0.10
-#: mirrored from repro.bench: >20% events/sec regression is drift
-KERNEL_REGRESSION_TOLERANCE = 0.20
 #: mirrored from benchmarks/test_parallel_baseline.py
 PARALLEL_SPEEDUP_FLOOR = 1.5
 MIN_CORES_FOR_PERF_CHECK = 4
@@ -212,62 +210,6 @@ def _check_availability(ctx: ReproduceContext,
             messages.append(
                 f"{name}: throughput {row['AT']:.1f} drifted {rel_t:.0%} "
                 f"from baseline {base['AT']:.1f} (> {THROUGHPUT_RTOL:.0%})")
-    return messages
-
-
-def _gen_bench_kernel(ctx: ReproduceContext) -> Dict[str, Any]:
-    """The kernel speed + observability-overhead document (`repro bench`).
-    Quick mode runs the steady scenario only; full mode runs the whole
-    suite and appends a provenance record to ``benchmarks/TREND.jsonl``."""
-    from repro.bench import append_trend, run_bench
-
-    names = ["steady"] if ctx.quick else None
-    report = run_bench(scenario_names=names, progress=ctx.say)
-    _write_json(ctx.out_dir / "BENCH_kernel.json", report.to_dict())
-    trend_appended = False
-    if not ctx.quick:
-        ledger = ctx.baseline_path("benchmarks/TREND.jsonl")
-        append_trend(report, str(ledger))
-        trend_appended = True
-    if not report.ok:
-        raise ReproduceError(
-            "observability perturbed simulation results (digest mismatch "
-            "across obs modes)")
-    return {"scenarios": sorted(report.scenarios),
-            "trend_appended": trend_appended}
-
-
-def _check_kernel(ctx: ReproduceContext, artifact: Artifact) -> List[str]:
-    """Dict-level twin of :func:`repro.bench.gate`: digest oracle always,
-    speed floors and overhead ceilings only on capable hosts."""
-    current = _load_json(ctx.out_dir / "BENCH_kernel.json")
-    baseline = _load_json(ctx.baseline_path(artifact.baseline or ""))
-    messages: List[str] = []
-    cores = os.cpu_count() or 1
-    perf_gated = cores >= MIN_CORES_FOR_PERF_CHECK
-    ceilings = baseline.get("gate", {})
-    for name, sc in sorted(current.get("scenarios", {}).items()):
-        if not sc.get("digests_equal", True):
-            messages.append(f"{name}: digests diverged across obs modes")
-        base = baseline.get("scenarios", {}).get(name)
-        if base is None or not perf_gated:
-            continue
-        floor = base["events_per_sec"] * (1.0 - KERNEL_REGRESSION_TOLERANCE)
-        if sc["events_per_sec"] < floor:
-            messages.append(
-                f"{name}: events/sec {sc['events_per_sec']:,.0f} below "
-                f"baseline floor {floor:,.0f}")
-        for mode, key in (("unsub", "max_overhead_unsub"),
-                          ("on", "max_overhead_on"),
-                          ("spans", "max_overhead_spans")):
-            ceiling = ceilings.get(key)
-            overhead = sc.get(f"overhead_{mode}")
-            if ceiling is None or overhead is None:
-                continue
-            if overhead > ceiling:
-                messages.append(
-                    f"{name}: obs overhead ({mode}) {overhead:.3f}x exceeds "
-                    f"ceiling {ceiling:.3f}x")
     return messages
 
 
@@ -472,18 +414,6 @@ def _registry() -> Dict[str, Artifact]:
         paper_ref="Figure 1a (gate subset)",
         baseline="benchmarks/BENCH_availability.json",
         check=_check_availability,
-    ))
-    entries.append(Artifact(
-        name="bench-kernel",
-        description="kernel events/sec + observability-overhead document "
-                    "with the cross-mode digest oracle",
-        kind="bench",
-        generate=_gen_bench_kernel,
-        outputs=("BENCH_kernel.json",),
-        deterministic=False,
-        roadmap_item=1,
-        baseline="benchmarks/BENCH_kernel.json",
-        check=_check_kernel,
     ))
     entries.append(Artifact(
         name="bench-parallel",

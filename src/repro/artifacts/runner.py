@@ -30,6 +30,7 @@ from repro.artifacts.manifest import (
     DEFAULT_MANIFEST,
     ArtifactRecord,
     Manifest,
+    provenance,
     write_manifest,
 )
 from repro.artifacts.registry import (
@@ -39,7 +40,6 @@ from repro.artifacts.registry import (
     ReproduceError,
     select,
 )
-from repro.obs.perf import provenance
 
 #: default directory regenerated artifacts land in (never the committed
 #: baselines — those only change by explicit copy)

@@ -31,15 +31,8 @@ Commands
     p50/p90/p99).
 ``profile VERSION``
     Fault-free run with kernel profiling; report the event-loop hot
-    spots (``--time`` adds wall-time attribution per event kind /
-    process type / subsystem; ``--json``/``--top N`` for machines).
-``bench``
-    Kernel benchmark harness: standardized scenarios measured with
-    observability off / enabled-unsubscribed / fully exporting —
-    events/sec, wall-per-cell, overhead ratios, hot-path attribution.
-    ``--gate`` enforces the committed ``benchmarks/BENCH_kernel.json``
-    baseline; every run appends a provenance-stamped record to
-    ``benchmarks/TREND.jsonl`` (``--trend`` renders the trajectory).
+    spots and the wall-time attribution per event kind / process type /
+    subsystem (``--json``/``--top N`` for machines).
 ``record VERSION FAULT``
     One single-fault experiment captured as a replayable flight-recorder
     artifact (JSON) for offline re-analysis.
@@ -340,91 +333,30 @@ def cmd_metrics(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.experiments.runner import build_world
+    from repro.obs.kernelprof import KernelProfiler
 
     config = _config(args)
-    telemetry = Telemetry(profile_kernel=True, profile_time=args.time)
+    profiler = KernelProfiler()
     world = build_world(_version(args.version), config.profile,
-                        seed=config.seed, telemetry=telemetry)
+                        seed=config.seed, monitor=profiler)
     until = args.until
     if until is None:
         until = config.campaign.warmup + config.campaign.normal_window
     world.env.run(until=until)
-    profiler = telemetry.profiler
-    assert profiler is not None
     if args.json:
         doc = profiler.snapshot()
         # machine-readable top-N, mirroring the text report's sorting
         doc["top"] = [{"owner": owner, "events": count}
                       for owner, count in profiler.top(args.top)]
-        if args.time:
-            for table in ("subsystem", "kind", "type"):
-                doc[f"top_{table}"] = [
-                    {table: key, "seconds": secs}
-                    for key, secs in profiler.top_times(table, args.top)
-                ]
+        for table in ("subsystem", "kind", "type"):
+            doc[f"top_{table}"] = [
+                {table: key, "seconds": secs}
+                for key, secs in profiler.top_times(table, args.top)
+            ]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(profiler.report(top_n=args.top))
     return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.bench import (
-        append_trend,
-        format_bench,
-        format_trend,
-        gate,
-        read_baseline,
-        read_trend,
-        run_bench,
-    )
-
-    if args.trend:
-        print(format_trend(read_trend(args.trend_file),
-                           scenario=args.scenario[0] if args.scenario else None))
-        return 0
-
-    try:
-        report = run_bench(
-            scenario_names=args.scenario or None,
-            attribution=not args.no_attribution,
-            top_n=args.top,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-    doc = report.to_dict()
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fp:
-            json.dump(doc, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-    if not args.no_trend_append:
-        append_trend(report, args.trend_file)
-        print(f"trend: appended to {args.trend_file}", file=sys.stderr)
-
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(format_bench(report))
-
-    rc = 0
-    if args.gate:
-        try:
-            baseline = read_baseline(args.baseline)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read baseline {args.baseline!r}: "
-                             f"{exc}")
-        verdict = gate(report, baseline)
-        print(verdict.describe(), file=sys.stderr)
-        rc = 0 if verdict.ok else 1
-    elif not report.ok:
-        # even ungated, a digest divergence is always an error
-        print("error: observability perturbed simulation results "
-              "(digest mismatch)", file=sys.stderr)
-        rc = 1
-    return rc
 
 
 def cmd_record(args) -> int:
@@ -715,8 +647,8 @@ def cmd_lint(args) -> int:
         # narrows which findings are reported, not what is analyzed
         perf = analyze_perf(args.paths)
         if args.validate:
-            print("perf: running the steady bench scenario for dynamic "
-                  "attribution...", file=sys.stderr)
+            print("perf: running steady COOP for dynamic attribution...",
+                  file=sys.stderr)
             validate_against_profile(perf)
         perf_findings: List[Finding] = perf.findings
         if changed is not None:
@@ -996,40 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulated seconds to run (default: warmup+window)")
     p.add_argument("--top", type=int, default=15,
                    help="entries per ranking (text and --json)")
-    p.add_argument("--time", action="store_true",
-                   help="wall-time attribution per event kind / process "
-                        "type / subsystem (TimingProfiler)")
     _add_common(p, json_flag=True)
     p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser("bench",
-                       help="kernel benchmark harness: events/sec, "
-                            "obs-overhead ratios, time attribution, "
-                            "trend ledger")
-    p.add_argument("--scenario", action="append", default=[],
-                   metavar="NAME",
-                   help="scenario to run (repeatable; default: all); "
-                        "with --trend, the scenario to render")
-    p.add_argument("--gate", action="store_true",
-                   help="compare against the committed baseline; exit 1 "
-                        "on >20%% events/sec regression or digest "
-                        "divergence")
-    p.add_argument("--baseline", default="benchmarks/BENCH_kernel.json",
-                   help="baseline document for --gate")
-    p.add_argument("--trend", action="store_true",
-                   help="render the trend ledger and exit (no run)")
-    p.add_argument("--trend-file", default="benchmarks/TREND.jsonl",
-                   help="trajectory ledger path")
-    p.add_argument("--no-trend-append", action="store_true",
-                   help="do not append this run to the trend ledger")
-    p.add_argument("--out", default=None,
-                   help="also write the full JSON report to this file")
-    p.add_argument("--top", type=int, default=10,
-                   help="entries per attribution ranking")
-    p.add_argument("--no-attribution", action="store_true",
-                   help="skip the time-attribution pass")
-    _add_common(p, json_flag=True)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("record",
                        help="one single-fault experiment captured as a "
@@ -1107,8 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "formatting, attribute reloads, linear scans)")
     p.add_argument("--validate", action="store_true",
                    help="cross-check the static hot set against dynamic "
-                        "TimingProfiler attribution (runs the steady "
-                        "bench scenario; implies --perf)")
+                        "KernelProfiler attribution (runs steady COOP "
+                        "for 120 sim-s; implies --perf)")
     p.add_argument("--diff", default=None, metavar="GIT_REF",
                    help="only report findings in files changed since "
                         "GIT_REF (fast pre-commit mode)")

@@ -156,16 +156,14 @@ def build_world(
     at ~90% of INDEP saturation, both scaled linearly with cluster size
     (Section 6.3's scaling assumption).
 
-    ``telemetry`` defaults to an enabled bundle (tracing + metrics, no
-    kernel profiling); pass ``Telemetry.disabled()`` for zero-overhead
-    runs or ``Telemetry(profile_kernel=True)`` to profile the kernel.
+    ``telemetry`` defaults to an enabled bundle (tracing + metrics);
+    pass ``Telemetry.disabled()`` for zero-overhead runs.
 
     ``tiebreak_seed`` perturbs same-instant event order (the race
     detector's schedule sanitizer; see :mod:`repro.analysis.racecheck`)
-    and ``monitor`` attaches a kernel monitor such as its
-    :class:`~repro.analysis.racecheck.ScheduleRecorder`.  A ``monitor``
-    replaces any profiler ``telemetry`` would attach, so don't combine
-    it with ``Telemetry(profile_kernel=True)``.
+    and ``monitor`` attaches a kernel monitor: the race detector's
+    :class:`~repro.analysis.racecheck.ScheduleRecorder`, or a
+    :class:`~repro.obs.kernelprof.KernelProfiler` to profile the kernel.
     """
     env = Environment(tiebreak_seed=tiebreak_seed)
     telemetry = telemetry if telemetry is not None else Telemetry()

@@ -9,10 +9,13 @@ Three pillars (see docs/ARCHITECTURE.md, "Observability"):
 * :class:`MetricsHub` — labelled :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` instruments wired into the service hot paths, with
   a snapshot API.
-* :class:`KernelProfiler` — opt-in event-loop hooks answering "where
-  does simulation time go".
+* :class:`KernelProfiler` — an opt-in kernel monitor
+  (``build_world(monitor=...)``) answering "where does simulation time
+  go": event counts per callback owner plus wall-time attribution per
+  event kind / process type / subsystem.
 
-:class:`Telemetry` bundles all three per world; JSONL/CSV exporters in
+:class:`Telemetry` bundles the tracer and metrics (plus causal span
+tracing) per world; JSONL/CSV exporters in
 :mod:`repro.obs.export` round-trip the event stream losslessly.
 
 On top of the raw telemetry sits the availability-accounting tier:
@@ -27,13 +30,6 @@ On top of the raw telemetry sits the availability-accounting tier:
   (:mod:`repro.obs.budget`);
 * :func:`render_timeline` — ASCII throughput/stage timelines
   (:mod:`repro.obs.timeline`).
-
-And the performance-observability tier (:mod:`repro.obs.perf`, driven by
-``repro bench`` via :mod:`repro.bench`): standardized kernel benchmark
-scenarios measured under every obs mode (off / enabled-unsubscribed /
-fully exporting), wall-time attribution via :class:`TimingProfiler`,
-observability-overhead self-measurement, and provenance stamps for the
-``benchmarks/TREND.jsonl`` trajectory ledger.
 """
 
 from repro.obs.events import EventKind, KNOWN_KINDS, TraceEvent, sanitize
@@ -52,7 +48,6 @@ from repro.obs.export import (
 )
 from repro.obs.kernelprof import (
     KernelProfiler,
-    TimingProfiler,
     callback_owner,
     callback_subsystem,
     process_type,
@@ -111,20 +106,6 @@ _ACCOUNTING_EXPORTS = {
     "write_record": "repro.obs.recorder",
     "format_attribution": "repro.obs.timeline",
     "render_timeline": "repro.obs.timeline",
-    # the performance-observability tier (repro.obs.perf) — lazy for the
-    # same reason: it reaches into the world builders for its scenarios
-    "BENCH_SCHEMA": "repro.obs.perf",
-    "OBS_MODES": "repro.obs.perf",
-    "SCENARIOS": "repro.obs.perf",
-    "Scenario": "repro.obs.perf",
-    "ScenarioReport": "repro.obs.perf",
-    "ModeRun": "repro.obs.perf",
-    "measure_attribution": "repro.obs.perf",
-    "measure_mode": "repro.obs.perf",
-    "measure_scenario": "repro.obs.perf",
-    "peak_rss_kb": "repro.obs.perf",
-    "provenance": "repro.obs.perf",
-    "worlds_digest": "repro.obs.perf",
 }
 
 
@@ -140,18 +121,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "OBS_MODES",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioReport",
-    "ModeRun",
-    "measure_attribution",
-    "measure_mode",
-    "measure_scenario",
-    "peak_rss_kb",
-    "provenance",
-    "worlds_digest",
     "AttributionConfig",
     "AttributionReport",
     "BoundaryCheck",
@@ -199,7 +168,6 @@ __all__ = [
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "KernelProfiler",
-    "TimingProfiler",
     "callback_owner",
     "callback_subsystem",
     "process_type",

@@ -112,9 +112,8 @@ def jsonl_subscriber(fp: TextIO):
     """A :meth:`Tracer.subscribe` callback streaming each event to ``fp``.
 
     This is the "fully exporting" observability configuration: every
-    event is serialized at emit time (the cost the benchmark harness's
-    ``on`` mode measures), and nothing accumulates in memory beyond the
-    tracer's own retention window.
+    event is serialized at emit time, and nothing accumulates in memory
+    beyond the tracer's own retention window.
     """
     def _write(event: TraceEvent) -> None:
         fp.write(json.dumps(event_to_dict(event), sort_keys=True))

@@ -9,17 +9,15 @@ The profiler counts events processed, tracks the scheduler-queue
 high-water mark, and attributes each event to the *owner* of its
 callbacks (the Process name for coroutine resumptions — e.g.
 ``n0.main`` or ``client-req`` — or the function's qualname for bare
-callbacks), which is what ``repro profile`` reports.
-
-:class:`TimingProfiler` extends the counting profiler with wall-clock
-*time attribution*: the kernel brackets each event's callback batch with
-``on_event``/``on_event_done``, and the elapsed host time is charged to
-the event's kind (Timeout/Process/...), the owning process *type*
-(``n0.main`` and ``n3.main`` collapse to ``n*.main``), and the subsystem
-that owns the resumed code (kernel / press / ha / workload / net / ...).
-The wall-clock reads never touch simulated time or any digested stream —
-they exist only in the profiler's own report (REP001 allowlists this
-module for exactly that reason).
+callbacks).  It also attributes wall-clock *time*: the kernel brackets
+each event's callback batch with ``on_event``/``on_event_done``, and the
+elapsed host time is charged to the event's kind (Timeout/Process/...),
+the owning process *type* (``n0.main`` and ``n3.main`` collapse to
+``n*.main``), and the subsystem that owns the resumed code (kernel /
+press / ha / workload / net / ...).  Both are what ``repro profile``
+reports.  The wall-clock reads never touch simulated time or any
+digested stream — they exist only in the profiler's own report (REP001
+allowlists this module for exactly that reason).
 """
 
 from __future__ import annotations
@@ -91,74 +89,18 @@ def callback_subsystem(cb) -> str:
     return subsystem_of_path(code.co_filename)
 
 
-class KernelProfiler:
-    """Event-loop statistics collector (attach via ``env.set_monitor``)."""
-
-    __slots__ = ("events_processed", "events_scheduled", "queue_high_water",
-                 "by_owner")
-
-    def __init__(self) -> None:
-        self.events_processed = 0
-        self.events_scheduled = 0
-        self.queue_high_water = 0
-        self.by_owner: Dict[str, int] = {}
-
-    # -- kernel monitor protocol ----------------------------------------
-    def on_schedule(self, depth: int) -> None:
-        self.events_scheduled += 1
-        if depth > self.queue_high_water:
-            self.queue_high_water = depth
-
-    def on_event(self, event, callbacks) -> None:
-        self.events_processed += 1
-        by_owner = self.by_owner
-        if callbacks:
-            for cb in callbacks:
-                owner = callback_owner(cb)
-                by_owner[owner] = by_owner.get(owner, 0) + 1
-        else:
-            by_owner["(uncollected)"] = by_owner.get("(uncollected)", 0) + 1
-
-    def on_event_done(self, event) -> None:
-        """Post-callback hook; the counting profiler has nothing to do."""
-
-    # -- reporting -------------------------------------------------------
-    def top(self, n: int = 15) -> List[Tuple[str, int]]:
-        """The ``n`` busiest callback owners, descending."""
-        return sorted(self.by_owner.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "events_processed": self.events_processed,
-            "events_scheduled": self.events_scheduled,
-            "queue_high_water": self.queue_high_water,
-            "by_owner": dict(self.by_owner),
-        }
-
-    def report(self, top_n: int = 15) -> str:
-        lines = [
-            f"events processed : {self.events_processed}",
-            f"events scheduled : {self.events_scheduled}",
-            f"queue high-water : {self.queue_high_water}",
-            "",
-            f"{'callback owner':<32} events",
-        ]
-        for owner, count in self.top(top_n):
-            lines.append(f"{owner:<32} {count}")
-        return "\n".join(lines)
-
-
 def _top_times(table: Dict[str, float], n: Optional[int] = None) -> List[Tuple[str, float]]:
     ranked = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked if n is None else ranked[:n]
 
 
-class TimingProfiler(KernelProfiler):
-    """Counting profiler plus wall-time attribution per event.
+class KernelProfiler:
+    """Event-loop counts plus wall-time attribution per event (attach via
+    ``build_world(monitor=...)`` or ``env.set_monitor``).
 
-    Each processed event's callback batch is timed
-    (``on_event`` .. ``on_event_done``) and the elapsed host seconds are
-    charged to three independent breakdowns:
+    Each processed event is counted per callback owner, and its callback
+    batch is timed (``on_event`` .. ``on_event_done``) with the elapsed
+    host seconds charged to three independent breakdowns:
 
     * ``time_by_kind`` — the event class (``Timeout``, ``Process``,
       ``Event``, ``AnyOf``...), i.e. *what the kernel was delivering*;
@@ -175,11 +117,16 @@ class TimingProfiler(KernelProfiler):
     the run's wall clock.
     """
 
-    __slots__ = ("time_by_kind", "time_by_type", "time_by_subsystem",
-                 "count_by_kind", "wall_seconds", "_keys", "_t0")
+    __slots__ = ("events_processed", "events_scheduled", "queue_high_water",
+                 "by_owner", "time_by_kind", "time_by_type",
+                 "time_by_subsystem", "count_by_kind", "wall_seconds",
+                 "_keys", "_t0")
 
     def __init__(self) -> None:
-        super().__init__()
+        self.events_processed = 0
+        self.events_scheduled = 0
+        self.queue_high_water = 0
+        self.by_owner: Dict[str, int] = {}
         self.time_by_kind: Dict[str, float] = {}
         self.time_by_type: Dict[str, float] = {}
         self.time_by_subsystem: Dict[str, float] = {}
@@ -189,29 +136,43 @@ class TimingProfiler(KernelProfiler):
         self._t0 = 0.0
 
     # -- kernel monitor protocol ----------------------------------------
+    def on_schedule(self, depth: int) -> None:
+        self.events_scheduled += 1
+        if depth > self.queue_high_water:
+            self.queue_high_water = depth
+
     def on_event(self, event, callbacks) -> None:
-        super().on_event(event, callbacks)
+        self.events_processed += 1
+        by_owner = self.by_owner
         kind = type(event).__name__
         if callbacks:
+            for cb in callbacks:
+                owner = callback_owner(cb)
+                by_owner[owner] = by_owner.get(owner, 0) + 1
             cb = callbacks[0]
-            owner = process_type(callback_owner(cb))
+            owner_type = process_type(callback_owner(cb))
             subsystem = callback_subsystem(cb)
         else:
-            owner, subsystem = "(uncollected)", "kernel"
+            by_owner["(uncollected)"] = by_owner.get("(uncollected)", 0) + 1
+            owner_type, subsystem = "(uncollected)", "kernel"
         self.count_by_kind[kind] = self.count_by_kind.get(kind, 0) + 1
-        self._keys = (kind, owner, subsystem)
+        self._keys = (kind, owner_type, subsystem)
         self._t0 = time.perf_counter()
 
     def on_event_done(self, event) -> None:
         dt = time.perf_counter() - self._t0
-        kind, owner, subsystem = self._keys
+        kind, owner_type, subsystem = self._keys
         self.wall_seconds += dt
         self.time_by_kind[kind] = self.time_by_kind.get(kind, 0.0) + dt
-        self.time_by_type[owner] = self.time_by_type.get(owner, 0.0) + dt
+        self.time_by_type[owner_type] = self.time_by_type.get(owner_type, 0.0) + dt
         self.time_by_subsystem[subsystem] = \
             self.time_by_subsystem.get(subsystem, 0.0) + dt
 
     # -- reporting -------------------------------------------------------
+    def top(self, n: int = 15) -> List[Tuple[str, int]]:
+        """The ``n`` busiest callback owners, descending."""
+        return sorted(self.by_owner.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+
     def top_times(self, table: str, n: int = 15) -> List[Tuple[str, float]]:
         """The ``n`` most expensive keys of one breakdown
         (``kind``/``type``/``subsystem``), descending by seconds."""
@@ -222,18 +183,29 @@ class TimingProfiler(KernelProfiler):
         }[table], n)
 
     def snapshot(self) -> Dict[str, Any]:
-        snap = super().snapshot()
-        snap.update({
+        return {
+            "events_processed": self.events_processed,
+            "events_scheduled": self.events_scheduled,
+            "queue_high_water": self.queue_high_water,
+            "by_owner": dict(self.by_owner),
             "wall_seconds": self.wall_seconds,
             "time_by_kind": dict(self.time_by_kind),
             "time_by_type": dict(self.time_by_type),
             "time_by_subsystem": dict(self.time_by_subsystem),
             "count_by_kind": dict(self.count_by_kind),
-        })
-        return snap
+        }
 
     def report(self, top_n: int = 15) -> str:
-        lines = [super().report(top_n=top_n), ""]
+        lines = [
+            f"events processed : {self.events_processed}",
+            f"events scheduled : {self.events_scheduled}",
+            f"queue high-water : {self.queue_high_water}",
+            "",
+            f"{'callback owner':<32} events",
+        ]
+        for owner, count in self.top(top_n):
+            lines.append(f"{owner:<32} {count}")
+        lines.append("")
         lines.append(f"wall in callbacks: {self.wall_seconds * 1e3:.1f} ms")
         total = self.wall_seconds or 1.0
         for title, table in (("subsystem", self.time_by_subsystem),

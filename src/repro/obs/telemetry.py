@@ -2,7 +2,9 @@
 
 One :class:`Telemetry` object travels with a
 :class:`~repro.experiments.runner.World`: a structured tracer, a metrics
-hub, and (opt-in) a kernel profiler.  ``build_world`` creates an enabled
+hub, and (opt-in) a causal span recorder.  Kernel profiling is not part
+of the bundle: pass a :class:`~repro.obs.kernelprof.KernelProfiler` as
+``build_world(monitor=...)``.  ``build_world`` creates an enabled
 bundle by default; pass ``Telemetry.disabled()`` for zero-overhead runs
 (every instrument degrades to a null object and the kernel keeps its
 monitor-free fast path).
@@ -12,24 +14,18 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.kernelprof import KernelProfiler, TimingProfiler
 from repro.obs.metrics import MetricsHub
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TracedMarkerLog, Tracer
 
 
 class Telemetry:
-    """Tracer + metrics registry + optional kernel profiler for one world.
+    """Tracer + metrics registry + optional span recorder for one world.
 
     ``trace_requests`` additionally records a ``request_ok`` event per
     successful request — precise but memory-hungry; off by default
     (successes are always *counted* in metrics, and failures are always
     traced as discrete events).
-
-    ``profile_time=True`` upgrades the kernel profiler to a
-    :class:`~repro.obs.kernelprof.TimingProfiler` (wall-time attribution
-    per event kind / process type / subsystem); it implies kernel
-    profiling.
 
     ``trace_max_events`` caps the tracer's in-memory retention (ring
     buffer).  The drop count is exposed both as ``tracer.dropped`` and —
@@ -47,11 +43,10 @@ class Telemetry:
     created, so the simulation is event-identical to an untraced run.
     """
 
-    __slots__ = ("enabled", "tracer", "metrics", "profiler", "trace_requests",
+    __slots__ = ("enabled", "tracer", "metrics", "trace_requests",
                  "spans", "trace_spans")
 
-    def __init__(self, enabled: bool = True, profile_kernel: bool = False,
-                 trace_requests: bool = False, profile_time: bool = False,
+    def __init__(self, enabled: bool = True, trace_requests: bool = False,
                  trace_max_events: Optional[int] = None,
                  trace_spans: bool = False, span_sample: float = 1.0,
                  span_seed: int = 0,
@@ -62,10 +57,6 @@ class Telemetry:
                         if (enabled and trace_max_events is not None) else None)
         self.tracer = Tracer(enabled=enabled, max_events=trace_max_events,
                              drop_counter=drop_counter)
-        profiler: Optional[KernelProfiler] = None
-        if enabled and (profile_kernel or profile_time):
-            profiler = TimingProfiler() if profile_time else KernelProfiler()
-        self.profiler = profiler
         self.trace_requests = bool(enabled and trace_requests)
         self.trace_spans = bool(enabled and trace_spans)
         self.spans = SpanRecorder(enabled=self.trace_spans,
@@ -77,10 +68,8 @@ class Telemetry:
         return cls(enabled=False)
 
     def attach(self, env) -> None:
-        """Bind to a simulation environment (clock + kernel hooks)."""
+        """Bind to a simulation environment (clocks + span hooks)."""
         self.tracer.bind_clock(env)
-        if self.profiler is not None:
-            env.set_monitor(self.profiler)
         if self.trace_spans:
             # Only bind when tracing is on: env.spans stays None on the
             # untraced fast path (transport/fabric check it per send).

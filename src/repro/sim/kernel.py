@@ -302,7 +302,7 @@ class Environment:
         monitor = self._monitor
         if monitor is not None:
             # Profiled path: bracket the callback batch so a timing
-            # monitor (repro.obs.kernelprof.TimingProfiler) can charge
+            # monitor (repro.obs.kernelprof.KernelProfiler) can charge
             # wall time to this event.  The unprofiled loop below stays
             # free of any per-callback monitor checks.
             monitor.on_event(event, callbacks)

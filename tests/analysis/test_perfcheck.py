@@ -154,7 +154,7 @@ class TestValidation:
     @pytest.mark.slow
     def test_validate_meets_recall_bar(self):
         res = analyze_perf([SRC])
-        doc = validate_against_profile(res, scenario="steady")
+        doc = validate_against_profile(res)
         assert doc is res.validation
         assert doc["recall"] >= 0.8
         assert 0.0 <= doc["precision"] <= 1.0

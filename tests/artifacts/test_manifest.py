@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
+
 import pytest
 
 from repro.artifacts.manifest import (
@@ -10,6 +13,7 @@ from repro.artifacts.manifest import (
     Manifest,
     compare_deterministic,
     format_manifest,
+    provenance,
     read_manifest,
     sha256_file,
     write_manifest,
@@ -107,3 +111,35 @@ def test_format_manifest_verdicts():
     m.artifacts["a"].drift = ["baseline moved"]
     text = format_manifest(m)
     assert "FAILED" in text and "baseline moved" in text
+
+
+class TestProvenance:
+    def test_fields(self):
+        prov = provenance()
+        assert set(prov) == {"git_sha", "git_dirty", "host",
+                             "host_fingerprint", "machine", "cpu_count",
+                             "python", "timestamp"}
+        assert len(prov["host_fingerprint"]) == 12
+        int(prov["host_fingerprint"], 16)
+        assert prov["cpu_count"] >= 1
+        assert isinstance(prov["timestamp"], float)
+
+    def test_fingerprint_stable_within_host(self):
+        assert provenance()["host_fingerprint"] == \
+            provenance()["host_fingerprint"]
+
+    def test_git_sha_is_this_checkout_not_the_cwd(self, tmp_path,
+                                                  monkeypatch):
+        import repro
+
+        src = Path(repro.__file__).resolve().parent
+        try:
+            head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=src,
+                                  capture_output=True, text=True,
+                                  check=False)
+        except OSError:
+            pytest.skip("git is not installed")
+        if head.returncode != 0:
+            pytest.skip("the source tree is not a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert provenance()["git_sha"] == head.stdout.strip()

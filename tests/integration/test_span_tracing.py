@@ -6,15 +6,22 @@ crash, COOP's p99 critical paths show ``peer_fetch`` hops (cooperative
 fault propagation — peers stall on the dead node), while the matching
 FME run's recovery-phase tails stay local.  And span tracing must be a
 pure observer: with it on, the structured event stream is byte-identical
-to a run with it off.
+to a run with it off.  More broadly, no telemetry configuration — nor a
+kernel profiler attached as the world's monitor — may perturb the
+simulation: every one yields the same chained digest.
 """
+
+import hashlib
+import json
+import os
 
 import pytest
 
 from repro.core.quantify import QuantifyConfig, run_single_fault
 from repro.experiments.configs import version
 from repro.faults.types import FaultKind
-from repro.obs.export import event_to_dict
+from repro.obs.export import event_to_dict, jsonl_subscriber
+from repro.obs.kernelprof import KernelProfiler
 from repro.obs.spans import blame_report, phases_from_trace
 from repro.obs.telemetry import Telemetry
 
@@ -78,7 +85,107 @@ class TestCoopVsFmeBlame:
         assert report["requests"] == len(positive)
 
 
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=repr).encode("utf-8")
+
+
+def world_digest(world):
+    """Chained SHA-256 over telemetry-independent simulation outputs:
+    the marker-log entries, request outcomes, final clock and the
+    kernel's processed-event count."""
+    chain = hashlib.sha256(b"repro-telemetry-invariance")
+    for entry in world.markers.entries:
+        chain.update(_canonical(list(entry)))
+    chain.update(_canonical({
+        "issued": world.stats.issued,
+        "outcomes": {str(k): v for k, v in world.stats.outcomes.items()},
+        "now": world.env.now,
+        "processed": world.env.processed_count,
+    }))
+    return chain.hexdigest()
+
+
+class TestWorldDigest:
+    """The oracle's digest must notice what it claims to cover."""
+
+    def _world(self, marks=((1.0, "detected", "x"),), now=50.0,
+               processed=100):
+        from types import SimpleNamespace
+
+        from repro.sim.series import MarkerLog
+
+        markers = MarkerLog()
+        for t, label, data in marks:
+            markers.mark(t, label, data)
+        return SimpleNamespace(
+            env=SimpleNamespace(now=now, processed_count=processed),
+            markers=markers,
+            stats=SimpleNamespace(issued=5, outcomes={"ok": 5}),
+        )
+
+    def test_deterministic(self):
+        assert world_digest(self._world()) == world_digest(self._world())
+
+    def test_sensitive_to_markers(self):
+        a = world_digest(self._world(marks=((1.0, "detected", "x"),)))
+        b = world_digest(self._world(marks=((1.0, "detected", "y"),)))
+        assert a != b
+
+    def test_sensitive_to_clock_and_event_count(self):
+        base = world_digest(self._world())
+        assert world_digest(self._world(now=51.0)) != base
+        assert world_digest(self._world(processed=101)) != base
+
+    def test_hex_sha256(self):
+        digest = world_digest(self._world())
+        assert len(digest) == 64
+        int(digest, 16)
+
+
+def _node_crash_digest(telemetry, monitor=None):
+    _trace, world = run_single_fault(version("COOP"), FaultKind.NODE_CRASH,
+                                     QuantifyConfig.quick(),
+                                     telemetry=telemetry, monitor=monitor)
+    return world_digest(world)
+
+
+def _exporting(sink):
+    telemetry = Telemetry()
+    telemetry.tracer.subscribe(jsonl_subscriber(sink))
+    return telemetry
+
+
+#: every observability configuration: name -> (telemetry, monitor) factory
+#: (the factory receives an open os.devnull sink for the exporting case)
+TELEMETRY_CONFIGS = {
+    "disabled": lambda sink: (Telemetry.disabled(), None),
+    "unsubscribed": lambda sink: (Telemetry(), None),
+    "jsonl-export": lambda sink: (_exporting(sink), None),
+    "spans": lambda sink: (Telemetry(trace_spans=True), None),
+    "ring-buffer": lambda sink: (Telemetry(trace_max_events=64), None),
+    "kernel-profiler": lambda sink: (Telemetry(), KernelProfiler()),
+}
+
+
 class TestZeroPerturbation:
+    """Telemetry is a pure observer: one chained digest across every
+    configuration, and span tracing leaves the event stream unchanged."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _node_crash_digest(Telemetry.disabled())
+
+    @pytest.mark.parametrize("config", sorted(TELEMETRY_CONFIGS))
+    def test_digest_identical(self, config, reference):
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            telemetry, monitor = TELEMETRY_CONFIGS[config](sink)
+            digest = _node_crash_digest(telemetry, monitor)
+        assert digest == reference, config
+        if monitor is not None:
+            assert monitor.events_processed > 0
+            assert monitor.wall_seconds > 0.0
+
     def test_event_stream_identical_with_tracing_on(self):
         config = QuantifyConfig.quick()
         plain = Telemetry()

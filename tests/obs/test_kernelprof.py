@@ -42,7 +42,10 @@ class TestKernelProfiler:
             env.run(until=5.0)
             return seen
 
-        assert run(None) == run(KernelProfiler())
+        profiler = KernelProfiler()
+        assert run(None) == run(profiler)
+        # the profiled run was timed, not just counted
+        assert profiler.wall_seconds > 0.0
 
     def test_detach_restores_fast_path(self):
         env = Environment()
@@ -75,6 +78,73 @@ class TestKernelProfiler:
         assert snap["events_scheduled"] == 1
         assert snap["queue_high_water"] == 3
 
+    def test_accumulates_time_tables(self):
+        env = Environment()
+        profiler = KernelProfiler()
+        env.set_monitor(profiler)
+        env.process(_ticker(env, 1.0), name="n0.main")
+        env.process(_ticker(env, 1.0), name="n1.main")
+        env.run(until=10.0)
+        assert profiler.wall_seconds > 0.0
+        assert "Timeout" in profiler.time_by_kind
+        assert profiler.count_by_kind["Timeout"] > 0
+        # Instances collapse into one process type.
+        assert "n*.main" in profiler.time_by_type
+        assert "n0.main" not in profiler.time_by_type
+        # The sum over any one table equals total callback time.
+        for table in (profiler.time_by_kind, profiler.time_by_type,
+                      profiler.time_by_subsystem):
+            assert sum(table.values()) == pytest.approx(profiler.wall_seconds)
+
+    def test_uncollected_event_charged_to_kernel(self):
+        profiler = KernelProfiler()
+        profiler.on_event(object(), [])
+        profiler.on_event_done(object())
+        assert set(profiler.time_by_type) == {"(uncollected)"}
+        assert set(profiler.time_by_subsystem) == {"kernel"}
+        assert profiler.count_by_kind == {"object": 1}
+
+    def test_top_times_ranks_descending(self):
+        profiler = KernelProfiler()
+        profiler.time_by_subsystem.update({"press": 0.5, "ha": 0.9, "net": 0.1})
+        assert profiler.top_times("subsystem", 2) == [("ha", 0.9), ("press", 0.5)]
+        with pytest.raises(KeyError):
+            profiler.top_times("nope")
+
+    def test_snapshot_and_report_include_timing(self):
+        env = Environment()
+        profiler = KernelProfiler()
+        env.set_monitor(profiler)
+        env.process(_ticker(env, 1.0), name="t")
+        env.run(until=3.0)
+        snap = profiler.snapshot()
+        assert snap["events_processed"] == profiler.events_processed
+        assert snap["wall_seconds"] == profiler.wall_seconds
+        assert set(snap["time_by_kind"]) == set(profiler.time_by_kind)
+        text = profiler.report(top_n=3)
+        assert "events processed" in text
+        assert "wall in callbacks" in text
+        assert "subsystem" in text
+        assert "event kind" in text
+
+
+class TestTimingProfiler:
+    def test_timing_profiler_does_not_perturb_results(self):
+        from repro.experiments.configs import version
+        from repro.experiments.profiles import SMALL
+        from repro.experiments.runner import build_world
+
+        def run(monitor):
+            world = build_world(version("COOP"), SMALL, monitor=monitor)
+            world.env.run(until=5.0)
+            stats = world.stats
+            return (world.env.processed_count, stats.issued,
+                    dict(stats.outcomes), stats.latency_sum)
+
+        profiler = KernelProfiler()
+        assert run(None) == run(profiler)
+        assert profiler.wall_seconds > 0.0
+
 
 class TestCallbackOwner:
     def test_bound_method_uses_owner_name(self):
@@ -102,14 +172,26 @@ class TestCallbackOwner:
 
 class TestTelemetry:
     def test_enabled_bundle(self):
-        tm = Telemetry(profile_kernel=True)
+        tm = Telemetry()
         env = Environment()
         tm.attach(env)
-        assert env.monitor is tm.profiler
+        # kernel monitors attach through build_world(monitor=...) only
+        assert env.monitor is None
         env.process(_ticker(env, 1.0), name="t")
         env.run(until=3.0)
-        assert tm.profiler.events_processed > 0
         assert tm.tracer.emit("server_start").time == 3.0
+
+    def test_build_world_monitor_attaches_profiler(self):
+        from repro.experiments.configs import version
+        from repro.experiments.profiles import SMALL
+        from repro.experiments.runner import build_world
+
+        profiler = KernelProfiler()
+        world = build_world(version("INDEP"), SMALL, monitor=profiler)
+        assert world.env.monitor is profiler
+        world.env.run(until=2.0)
+        assert profiler.events_processed == world.env.processed_count > 0
+        assert profiler.wall_seconds > 0.0
 
     def test_disabled_bundle_is_inert(self):
         tm = Telemetry.disabled()
@@ -119,11 +201,7 @@ class TestTelemetry:
         assert tm.tracer.emit("server_start") is None
         tm.metrics.counter("x").inc()
         assert tm.metrics.snapshot() == []
-        assert tm.profiler is None
         assert not tm.trace_requests
-
-    def test_profiler_requires_enabled(self):
-        assert Telemetry(enabled=False, profile_kernel=True).profiler is None
 
     def test_marker_log_mirrors_into_tracer(self):
         tm = Telemetry()
@@ -264,86 +342,3 @@ class TestSubsystemAttribution:
 
         assert callback_subsystem(object()) == "other"
 
-
-class TestTimingProfiler:
-    def test_accumulates_time_tables(self):
-        from repro.obs.kernelprof import TimingProfiler
-
-        env = Environment()
-        profiler = TimingProfiler()
-        env.set_monitor(profiler)
-        env.process(_ticker(env, 1.0), name="n0.main")
-        env.process(_ticker(env, 1.0), name="n1.main")
-        env.run(until=10.0)
-        assert profiler.wall_seconds > 0.0
-        assert "Timeout" in profiler.time_by_kind
-        assert profiler.count_by_kind["Timeout"] > 0
-        # Instances collapse into one process type.
-        assert "n*.main" in profiler.time_by_type
-        assert "n0.main" not in profiler.time_by_type
-        # The sum over any one table equals total callback time.
-        for table in (profiler.time_by_kind, profiler.time_by_type,
-                      profiler.time_by_subsystem):
-            assert sum(table.values()) == pytest.approx(profiler.wall_seconds)
-
-    def test_uncollected_event_charged_to_kernel(self):
-        from repro.obs.kernelprof import TimingProfiler
-
-        profiler = TimingProfiler()
-        profiler.on_event(object(), [])
-        profiler.on_event_done(object())
-        assert set(profiler.time_by_type) == {"(uncollected)"}
-        assert set(profiler.time_by_subsystem) == {"kernel"}
-        assert profiler.count_by_kind == {"object": 1}
-
-    def test_top_times_ranks_descending(self):
-        from repro.obs.kernelprof import TimingProfiler
-
-        profiler = TimingProfiler()
-        profiler.time_by_subsystem.update({"press": 0.5, "ha": 0.9, "net": 0.1})
-        assert profiler.top_times("subsystem", 2) == [("ha", 0.9), ("press", 0.5)]
-        with pytest.raises(KeyError):
-            profiler.top_times("nope")
-
-    def test_snapshot_and_report_extend_base(self):
-        from repro.obs.kernelprof import TimingProfiler
-
-        env = Environment()
-        profiler = TimingProfiler()
-        env.set_monitor(profiler)
-        env.process(_ticker(env, 1.0), name="t")
-        env.run(until=3.0)
-        snap = profiler.snapshot()
-        assert snap["events_processed"] == profiler.events_processed
-        assert snap["wall_seconds"] == profiler.wall_seconds
-        assert set(snap["time_by_kind"]) == set(profiler.time_by_kind)
-        text = profiler.report(top_n=3)
-        assert "wall in callbacks" in text
-        assert "subsystem" in text
-        assert "event kind" in text
-
-    def test_profile_time_upgrades_telemetry_profiler(self):
-        from repro.obs.kernelprof import TimingProfiler
-
-        assert isinstance(Telemetry(profile_time=True).profiler, TimingProfiler)
-        assert not isinstance(Telemetry(profile_kernel=True).profiler,
-                              TimingProfiler)
-        assert Telemetry(enabled=False, profile_time=True).profiler is None
-
-    def test_timing_profiler_does_not_perturb_results(self):
-        from repro.obs.kernelprof import TimingProfiler
-
-        def run(monitor):
-            env = Environment(monitor=monitor)
-            seen = []
-
-            def recorder():
-                while True:
-                    yield env.timeout(0.5)
-                    seen.append(env.now)
-
-            env.process(recorder(), name="rec")
-            env.run(until=5.0)
-            return seen
-
-        assert run(None) == run(TimingProfiler())
