@@ -34,7 +34,7 @@ def main() -> None:
     env.run(until=60.0)
     election = world.markers.first("auction_election")
     print(f"  election won by {world.data_cluster.master.host.name} "
-          f"at t={election:.1f}s")
+          f"at t={election.time:.1f}s")
     print(f"  during detection+election [30..46]:")
     print(f"    read availability:  {window(world.read_stats, 32, 46):.3f}"
           "   <- replicas keep serving")

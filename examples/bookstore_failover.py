@@ -35,7 +35,7 @@ def main() -> None:
     world.injector.repair(fault)
     env.run(until=110.0)
     timeline(world, 36, 110, "throughput around the crash")
-    print(f"failover at t={world.markers.first('db_failover'):.1f}s; "
+    print(f"failover at t={world.markers.first('db_failover').time:.1f}s; "
           f"primary is now {world.db_cluster.primary.host.name}; the rebooted "
           f"node serves as replica")
 

@@ -26,15 +26,15 @@ def run_scenario(version_name: str) -> None:
     world.injector.inject_for(FaultKind.APP_HANG, "n1", duration=120.0)
     env.run(until=240.0)
 
-    churn = [(t, d) for t, d in world.markers.all("excluded") if t >= 90.0]
-    readds = [(t, d) for t, d in world.markers.all("reintegrated") if t >= 90.0]
-    fme_restarts = world.markers.all("fme_restart")
+    churn = [e for e in world.markers.events_of("excluded") if e.time >= 90.0]
+    readds = [e for e in world.markers.events_of("reintegrated") if e.time >= 90.0]
+    fme_restarts = world.markers.events_of("fme_restart")
     served = world.stats.window(90.0, 210.0)
 
     print(f"  exclusions of n1 after the hang: {len(churn)}")
     print(f"  re-additions:                    {len(readds)}")
     if fme_restarts:
-        t0 = fme_restarts[0][0]
+        t0 = fme_restarts[0].time
         print(f"  FME enforced crash-restart at t={t0:.1f}s "
               f"({t0 - 90.0:.1f}s after the hang)")
     print(f"  throughput during the fault window: "

@@ -59,7 +59,7 @@ _ALLOC_CTORS = frozenset({"list", "dict", "set", "tuple", "frozenset",
 
 #: telemetry/trace emitters whose eagerly formatted arguments defeat the
 #: null-object fast path
-_EMITTERS = frozenset({"emit", "mark", "emit_marker", "annotate", "event",
+_EMITTERS = frozenset({"emit", "annotate", "event",
                        "start", "root", "probe_root"})
 
 #: metric-registry factories; calling one per event is a dict lookup +

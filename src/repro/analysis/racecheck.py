@@ -936,49 +936,15 @@ def capture_campaign(version_name: str, fault: str, seed: int,
                      smoke: bool = False) -> RunCapture:
     """Run one campaign (or the smoke scenario) under a tie-break mode
     and capture every observable stream."""
-    from repro.core.quantify import QuantifyConfig, run_single_fault
-    from repro.experiments.configs import version
-    from repro.faults.types import FaultKind
+    from repro.analysis.sanitize import run_scenario
     from repro.obs.telemetry import Telemetry
 
-    spec = version(version_name)
     telemetry = Telemetry()
     recorder = ScheduleRecorder()
-    observables: Dict[str, Any]
-    if smoke:
-        from repro.experiments.profiles import SMALL
-        from repro.experiments.runner import build_world
-
-        world = build_world(spec, SMALL, seed=seed, telemetry=telemetry,
-                            tiebreak_seed=tiebreak_seed, monitor=recorder)
-        world.env.run(until=80.0)
-        world.injector.inject_for(FaultKind(fault), "n1", duration=30.0)
-        world.env.run(until=140.0)
-        stats = world.stats
-        observables = {
-            "issued": stats.issued,
-            "succeeded": stats.succeeded,
-            "outcomes": {str(k): v for k, v in sorted(stats.outcomes.items())},
-        }
-        env = world.env
-    else:
-        from dataclasses import replace
-
-        config = QuantifyConfig.quick(seed=seed) if quick else \
-            replace(QuantifyConfig.from_env(), seed=seed)
-        trace, world = run_single_fault(spec, FaultKind(fault), config,
-                                        telemetry=telemetry,
-                                        tiebreak_seed=tiebreak_seed,
-                                        monitor=recorder)
-        observables = {
-            "t_inject": trace.t_inject,
-            "t_detect": trace.t_detect,
-            "t_repair": trace.t_repair,
-            "t_reset": trace.t_reset,
-            "t_end": trace.t_end,
-            "normal_tput": trace.normal_tput,
-        }
-        env = world.env
+    world, observables = run_scenario(version_name, fault, seed, telemetry,
+                                      quick=quick, smoke=smoke,
+                                      tiebreak_seed=tiebreak_seed,
+                                      monitor=recorder)
     metrics = telemetry.metrics.snapshot()
     return RunCapture(
         tiebreak_seed=tiebreak_seed,
@@ -986,10 +952,10 @@ def capture_campaign(version_name: str, fault: str, seed: int,
         ordered_schedule=recorder.ordered(),
         proc_refs=recorder.proc_refs(),
         observables=observables,
-        trace_chain=canonical_trace_chain(telemetry.tracer.events),
+        trace_chain=canonical_trace_chain(telemetry.tracer.entries),
         metrics_digest=hashlib.sha256(_canonical(metrics)).hexdigest(),
         metrics=metrics,
-        processed=env.processed_count,
+        processed=world.env.processed_count,
     )
 
 

@@ -332,12 +332,14 @@ RULES: Dict[str, Rule] = {
             severity=Severity.WARNING,
             summary="eager formatting for telemetry on a hot path",
             rationale=(
-                "The null-object telemetry makes emit()/mark()/inc() free "
-                "when observability is off — but an f-string, .format() or "
-                "%-format *argument* is still evaluated before the no-op "
-                "call.  On the hot path, guard the emission "
-                "(tracer.enabled) or pass raw fields and defer formatting "
-                "to the exporter, so Telemetry.disabled() stays free."
+                "The null-object metrics and spans make inc()/start() "
+                "free when observability is off — but an f-string, "
+                ".format() or %-format *argument* is still evaluated "
+                "before the no-op call.  emit() is never free: the event "
+                "log records under Telemetry.disabled() too, so its "
+                "events must stay rare (lifecycle, not per request).  On "
+                "the hot path, pass raw fields and defer formatting to "
+                "the exporter."
             ),
             perf=True,
         ),

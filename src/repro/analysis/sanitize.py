@@ -47,6 +47,60 @@ def _canonical(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def run_scenario(version_name: str, fault: str, seed: int, telemetry,
+                 quick: bool = True, smoke: bool = False,
+                 tiebreak_seed: Optional[int] = None,
+                 monitor=None) -> Tuple[Any, Dict[str, Any]]:
+    """Run the smoke scenario or one campaign; return ``(world, observables)``.
+
+    The smoke scenario is COOP-style: SMALL profile, run to t=80, inject
+    ``fault`` on ``n1`` for 30 s, run to t=140; its observables are the
+    request totals.  Otherwise one quick (or full) single-fault campaign
+    runs and the observables are its stage timeline.  Events, metrics and
+    spans land in ``telemetry``; ``tiebreak_seed`` and ``monitor`` are
+    passed to the world builder.  Both determinism checkers (this module
+    and :mod:`repro.analysis.racecheck`) run their scenarios through here.
+    """
+    # Imports deferred: `repro lint` must not drag the simulator in.
+    from repro.core.quantify import QuantifyConfig, run_single_fault
+    from repro.experiments.configs import version
+    from repro.faults.types import FaultKind
+
+    spec = version(version_name)
+    if smoke:
+        from repro.experiments.profiles import SMALL
+        from repro.experiments.runner import build_world
+
+        world = build_world(spec, SMALL, seed=seed, telemetry=telemetry,
+                            tiebreak_seed=tiebreak_seed, monitor=monitor)
+        world.env.run(until=80.0)
+        world.injector.inject_for(FaultKind(fault), "n1", duration=30.0)
+        world.env.run(until=140.0)
+        stats = world.stats
+        return world, {
+            "issued": stats.issued,
+            "succeeded": stats.succeeded,
+            "outcomes": {str(k): v for k, v in sorted(stats.outcomes.items())},
+        }
+    from dataclasses import replace
+
+    # REPRO_QUICK is still honoured when --quick is not passed.
+    config = QuantifyConfig.quick(seed=seed) if quick else \
+        replace(QuantifyConfig.from_env(), seed=seed)
+    trace, world = run_single_fault(spec, FaultKind(fault), config,
+                                    telemetry=telemetry,
+                                    tiebreak_seed=tiebreak_seed,
+                                    monitor=monitor)
+    return world, {
+        "t_inject": trace.t_inject,
+        "t_detect": trace.t_detect,
+        "t_repair": trace.t_repair,
+        "t_reset": trace.t_reset,
+        "t_end": trace.t_end,
+        "normal_tput": trace.normal_tput,
+    }
+
+
 def campaign_fingerprint(version_name: str, fault: str, seed: int,
                          quick: bool = True, smoke: bool = False,
                          tiebreak_seed: Optional[int] = None) -> Dict[str, Any]:
@@ -60,10 +114,7 @@ def campaign_fingerprint(version_name: str, fault: str, seed: int,
     (see :mod:`repro.analysis.racecheck`); a fingerprint taken under a
     tie-break seed is only comparable to another with the same seed.
     """
-    # Imports deferred: `repro lint` must not drag the simulator in.
-    from repro.core.quantify import QuantifyConfig, run_single_fault
     from repro.experiments.configs import version
-    from repro.faults.types import FaultKind
     from repro.obs.export import event_to_dict
     from repro.obs.spans import spans_digest
     from repro.obs.telemetry import Telemetry
@@ -72,43 +123,11 @@ def campaign_fingerprint(version_name: str, fault: str, seed: int,
     # Span tracing rides along so the double-run check also pins the
     # causal span trees (ids, parentage, sampling) across hash seeds.
     telemetry = Telemetry(trace_spans=True)
-    timeline: Dict[str, Any]
-    if smoke:
-        from repro.experiments.profiles import SMALL
-        from repro.experiments.runner import build_world
-
-        world = build_world(spec, SMALL, seed=seed, telemetry=telemetry,
-                            tiebreak_seed=tiebreak_seed)
-        world.env.run(until=80.0)
-        world.injector.inject_for(FaultKind(fault), "n1", duration=30.0)
-        world.env.run(until=140.0)
-        stats = world.stats
-        timeline = {
-            "issued": stats.issued,
-            "succeeded": stats.succeeded,
-            "outcomes": {str(k): v for k, v in sorted(stats.outcomes.items())},
-        }
-        events = telemetry.tracer.events
-        metrics = telemetry.metrics.snapshot()
-    else:
-        from dataclasses import replace
-
-        # REPRO_QUICK is still honoured when --quick is not passed.
-        config = QuantifyConfig.quick(seed=seed) if quick else \
-            replace(QuantifyConfig.from_env(), seed=seed)
-        trace, world = run_single_fault(spec, FaultKind(fault), config,
-                                        telemetry=telemetry,
-                                        tiebreak_seed=tiebreak_seed)
-        timeline = {
-            "t_inject": trace.t_inject,
-            "t_detect": trace.t_detect,
-            "t_repair": trace.t_repair,
-            "t_reset": trace.t_reset,
-            "t_end": trace.t_end,
-            "normal_tput": trace.normal_tput,
-        }
-        events = telemetry.tracer.events
-        metrics = world.telemetry.metrics.snapshot()
+    _, timeline = run_scenario(version_name, fault, seed, telemetry,
+                               quick=quick, smoke=smoke,
+                               tiebreak_seed=tiebreak_seed)
+    events = telemetry.tracer.entries
+    metrics = telemetry.metrics.snapshot()
 
     chain = hashlib.sha256()
     entries: List[Dict[str, Any]] = []

@@ -186,9 +186,8 @@ def _timeline_dict(trace) -> dict:
 def cmd_inject(args) -> int:
     config = _config(args)
     kind = FaultKind(args.fault)
-    telemetry = Telemetry()
     trace, world = run_single_fault(_version(args.version), kind, config,
-                                    target=args.target, telemetry=telemetry)
+                                    target=args.target)
     if args.json:
         start = max(trace.t_inject - 20.0, 0.0)
         times, rates = trace.series.bucketize(5.0, start, trace.t_end)
@@ -199,7 +198,7 @@ def cmd_inject(args) -> int:
             "timeline": _timeline_dict(trace),
             "throughput": {"times": [float(t) for t in times],
                            "rates": [float(r) for r in rates]},
-            "events": [event_to_dict(e) for e in telemetry.tracer.events],
+            "events": [event_to_dict(e) for e in trace.events],
         }, sort_keys=True))
         return 0
     start = max(trace.t_inject - 20.0, 0.0)
@@ -220,10 +219,9 @@ def cmd_inject(args) -> int:
 def cmd_trace(args) -> int:
     config = _config(args)
     kind = FaultKind(args.fault)
-    telemetry = Telemetry()
     trace, _world = run_single_fault(_version(args.version), kind, config,
-                                     target=args.target, telemetry=telemetry)
-    events = filter_events(telemetry.tracer.events, kinds=args.kind or None,
+                                     target=args.target)
+    events = filter_events(trace.events, kinds=args.kind or None,
                            components=args.component or None,
                            limit=args.limit)
     writer = write_csv if args.format == "csv" else write_jsonl
@@ -300,7 +298,7 @@ def cmd_spans(args) -> int:
         return 0
 
     # default: the tail-latency blame report, phased around the fault
-    phases = phases_from_trace(telemetry.tracer.events)
+    phases = phases_from_trace(telemetry.tracer.entries)
     report = blame_report(spans.trees(), percentile=args.percentile,
                           phases=phases, top=args.top)
     report["digest"] = spans_digest(spans.spans())

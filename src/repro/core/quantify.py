@@ -236,7 +236,6 @@ def quantify_version(
 
             records[kind] = FlightRecord.from_experiment(
                 trace,
-                events=world.telemetry.tracer.events,
                 seed=config.seed,
                 profile=config.profile.name,
                 target=world.default_target(kind),
@@ -289,7 +288,7 @@ def run_cell(cell: CampaignCell, config: QuantifyConfig) -> Dict[str, Any]:
     """Execute one campaign cell and return a JSON-safe cell document.
 
     The document wraps a full :class:`~repro.obs.recorder.FlightRecord`
-    dict — samples, markers, and structured trace events — so the parent
+    dict — samples and structured trace events — so the parent
     process can re-fit the template, rebuild the trace, and keep the
     record without ever re-simulating.  This is the function the
     :mod:`repro.parallel` workers run; it is also the cell half of the
@@ -311,7 +310,6 @@ def run_cell(cell: CampaignCell, config: QuantifyConfig) -> Dict[str, Any]:
                                     target=cell.target, telemetry=telemetry)
     record = FlightRecord.from_experiment(
         trace,
-        events=telemetry.tracer.events,
         seed=config.seed,
         profile=config.profile.name,
         target=cell.target or world.default_target(cell.kind),

@@ -27,6 +27,7 @@ from repro.experiments.configs import version as version_by_name
 from repro.experiments.runner import World, build_world
 from repro.faults.faultload import FaultCatalog, FaultRate
 from repro.faults.types import FaultKind
+from repro.obs.events import EventKind
 
 
 def validation_catalog(n_nodes: int = 4, disks_per_node: int = 2,
@@ -109,7 +110,8 @@ def _fault_load_driver(world: World, catalog: FaultCatalog,
         t0, t1 = env.now - min(recovery_wait, 20.0), env.now
         normal = world.offered_rate
         if world.stats.series.mean_rate(t0, t1) < operator_threshold * normal:
-            world.markers.mark(env.now, "operator_reset", kind)
+            world.markers.emit(EventKind.OPERATOR_RESET, source="operator",
+                               fault=kind, target=target)
             world.operator_reset()
             yield env.timeout(60.0)
 

@@ -3,8 +3,9 @@
 A :class:`World` bundles everything a phase-1 campaign needs: the
 simulated cluster (hosts, disks, network), the server processes, the HA
 subsystems the version enables, the client workload, the fault injector,
-and the shared marker log.  Build one world per experiment — worlds are
-cheap and single-use (the campaign perturbs them).
+and the telemetry bundle whose tracer is the world's one event log.
+Build one world per experiment — worlds are cheap and single-use (the
+campaign perturbs them).
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from repro.hardware.disk import Disk
 from repro.hardware.host import Host
 from repro.net.network import ClusterNetwork
 from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Tracer
 from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.press.indep import IndepServer
 from repro.press.server import PressServer, bootstrap_cluster
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.client import ClientConfig, ClientPool, DnsRouter
 from repro.workload.stats import RequestStats
 from repro.workload.trace import SyntheticTrace
@@ -50,7 +51,6 @@ class World:
     profile: ScaleProfile
     env: Environment
     rngs: RngRegistry
-    markers: MarkerLog
     net: ClusterNetwork
     hosts: List[Host]
     servers: List
@@ -67,6 +67,11 @@ class World:
     telemetry: Telemetry = field(default_factory=Telemetry)
     #: master RNG seed the world was built with (flight-record provenance)
     seed: int = 0
+
+    @property
+    def markers(self) -> Tracer:
+        """The world's event log: fault lifecycle, HA and request events."""
+        return self.telemetry.tracer
 
     def host_by_name(self, name: str) -> Host:
         for host in self.hosts:
@@ -156,8 +161,9 @@ def build_world(
     at ~90% of INDEP saturation, both scaled linearly with cluster size
     (Section 6.3's scaling assumption).
 
-    ``telemetry`` defaults to an enabled bundle (tracing + metrics);
-    pass ``Telemetry.disabled()`` for zero-overhead runs.
+    ``telemetry`` defaults to an enabled bundle (event log + metrics);
+    pass ``Telemetry.disabled()`` to turn metrics off (the event log,
+    ``World.markers``, records either way).
 
     ``tiebreak_seed`` perturbs same-instant event order (the race
     detector's schedule sanitizer; see :mod:`repro.analysis.racecheck`)
@@ -174,7 +180,6 @@ def build_world(
             bind(env)
         env.set_monitor(monitor)
     rngs = RngRegistry(seed)
-    markers = telemetry.marker_log()
     net = ClusterNetwork(env)
     fabric = ClusterFabric(env, net)
     trace_cfg = profile.trace
@@ -208,10 +213,10 @@ def build_world(
             disk = Disk(env, host, d, profile.disk, rngs.stream(f"disk.{i}.{d}"))
             disks[disk.name] = disk
         if spec.cooperative:
-            server = PressServer(host, i, press_cfg, trace, fabric, markers,
+            server = PressServer(host, i, press_cfg, trace, fabric,
                                  telemetry=telemetry)
         else:
-            server = IndepServer(host, i, press_cfg, trace, markers,
+            server = IndepServer(host, i, press_cfg, trace,
                                  telemetry=telemetry)
         hosts.append(host)
         servers.append(server)
@@ -220,7 +225,7 @@ def build_world(
     if spec.membership:
         mnet = MembershipNetwork(net)
         for host, server in zip(hosts, servers):
-            daemon = MembershipDaemon(host, server.node_id, mnet, MembershipConfig(), markers,
+            daemon = MembershipDaemon(host, server.node_id, mnet, MembershipConfig(),
                                       telemetry=telemetry)
             server.shared_view = daemon.shared_view
             membership_daemons.append(daemon)
@@ -228,7 +233,7 @@ def build_world(
     fme_daemons: List[FmeDaemon] = []
     if spec.fme:
         for host, server in zip(hosts, servers):
-            fme_daemons.append(FmeDaemon(host, server, FmeConfig(), markers,
+            fme_daemons.append(FmeDaemon(host, server, FmeConfig(),
                                          telemetry=telemetry))
 
     for host in hosts:
@@ -245,10 +250,10 @@ def build_world(
         fe_cfg = FrontEndConfig(
             mode=MonMode.CONNECTION if spec.fe_conn_monitoring else MonMode.PING
         )
-        frontend = FrontEnd(env, fe_host, servers, fe_cfg, markers,
+        frontend = FrontEnd(env, fe_host, servers, fe_cfg,
                             telemetry=telemetry)
         if spec.sfme:
-            sfme = SfmeMonitor(env, frontend, servers, markers=markers)
+            sfme = SfmeMonitor(env, frontend, servers)
 
     router = frontend if frontend is not None else DnsRouter(servers)
 
@@ -275,7 +280,6 @@ def build_world(
         disks=disks,
         frontends={"fe0": frontend} if frontend is not None else {},
         app_of=lambda host: host.services["press"],
-        markers=markers,
         telemetry=telemetry,
     )
 
@@ -293,7 +297,6 @@ def build_world(
         profile=profile,
         env=env,
         rngs=rngs,
-        markers=markers,
         net=net,
         hosts=hosts,
         servers=servers,

@@ -12,7 +12,8 @@ The driver expects a *world* object exposing::
 
     world.env        -- simulation Environment
     world.stats      -- workload stats with a ``.series`` ThroughputSeries
-    world.markers    -- MarkerLog shared with the injector and the servers
+    world.markers    -- the world's event log (a Tracer), shared with the
+                        injector and the servers
     world.injector   -- FaultInjector
     world.operator_reset() -- full service restart (stage F)
 
@@ -22,10 +23,11 @@ The driver expects a *world* object exposing::
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.faults.types import FaultComponent, FaultKind
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.events import EventKind, TraceEvent
+from repro.sim.series import ThroughputSeries
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class ExperimentTrace:
     component: FaultComponent
     config: CampaignConfig
     series: ThroughputSeries
-    markers: MarkerLog
+    events: List[TraceEvent]
     t_inject: float
     t_repair: float
     t_end: float
@@ -117,13 +119,14 @@ class ExperimentTrace:
 
     @property
     def t_detect(self) -> Optional[float]:
-        """First detection/recovery-action marker after injection.
+        """First detection/recovery-action event after injection.
 
-        Any subsystem noticing the fault marks ``detected`` (ring
+        Any subsystem noticing the fault emits ``detected`` (ring
         exclusion, membership exclusion, queue-monitor trip, Mon removing
         a node from the front-end, FME enforcement).
         """
-        times = [t for t, _ in self.markers.all("detected") if t >= self.t_inject]
+        times = [e.time for e in self.events
+                 if e.kind == EventKind.DETECTED and e.time >= self.t_inject]
         return min(times) if times else None
 
     def rate(self, t0: float, t1: float) -> float:
@@ -166,7 +169,9 @@ class SingleFaultCampaign:
         t_reset: Optional[float] = None
         if normal > 0 and post_rate < cfg.operator_threshold * normal:
             t_reset = env.now
-            self.world.markers.mark(t_reset, "operator_reset", fault.component)
+            self.world.markers.emit(EventKind.OPERATOR_RESET, source="operator",
+                                    time=t_reset, fault=fault.component.kind,
+                                    target=fault.component.target)
             self.world.operator_reset()
             env.run(until=t_reset + cfg.reset_duration + cfg.post_reset_observe)
 
@@ -174,7 +179,7 @@ class SingleFaultCampaign:
             component=fault.component,
             config=cfg,
             series=self.world.stats.series,
-            markers=self.world.markers,
+            events=self.world.markers.entries,
             t_inject=t_inject,
             t_repair=t_repair,
             t_end=env.now,

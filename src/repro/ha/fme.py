@@ -33,10 +33,10 @@ from repro.ha.faultmodel import (
     Symptoms,
 )
 from repro.hardware.host import Host, NodeService
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.events import EventKind
+from repro.obs.telemetry import Telemetry
 from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class FmeConfig:
 class FmeDaemon(NodeService):
     """Per-node FME process (its own ProcGroup, separate from the app)."""
 
-    __slots__ = ("app", "config", "model", "markers", "_spans",
+    __slots__ = ("app", "config", "model", "_tracer", "_spans",
                  "enforcements")
 
     service_name = "fme"
@@ -61,7 +61,6 @@ class FmeDaemon(NodeService):
         host: Host,
         app: NodeService,
         config: FmeConfig = FmeConfig(),
-        markers: Optional[MarkerLog] = None,
         model: FaultModel = PRESS_FAULT_MODEL,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -69,8 +68,8 @@ class FmeDaemon(NodeService):
         self.app = app
         self.config = config
         self.model = model
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        self._tracer = tm.tracer
         self._spans = tm.spans
         self.enforcements = 0
 
@@ -143,10 +142,8 @@ class FmeDaemon(NodeService):
         for the disk to be replaced and then boots the node, which
         restarts every service and rejoins the cluster.
         """
-        now = self.env.now
         self.enforcements += 1
-        self.markers.mark(now, "detected", ("fme_disk", self.host.name, self.host.name))
-        self.markers.mark(now, "fme_offline", self.host.name)
+        self._emit_enforcement("fme_disk", EventKind.FME_OFFLINE)
         env, host, cfg = self.env, self.host, self.config
 
         def _shutdown_and_repair():
@@ -164,11 +161,17 @@ class FmeDaemon(NodeService):
 
     def _restart_app(self) -> None:
         """App stuck, disks fine: enforce 'application crash(-restart)'."""
-        now = self.env.now
         self.enforcements += 1
-        self.markers.mark(now, "detected", ("fme_app", self.host.name, self.host.name))
-        self.markers.mark(now, "fme_restart", self.host.name)
+        self._emit_enforcement("fme_app", EventKind.FME_RESTART)
         self.app.force_restart()
+
+    def _emit_enforcement(self, mechanism: str, action: str) -> None:
+        """Record one enforcement.  FME is its own observer: it detects
+        the failure on, and acts on, the node it runs on."""
+        name = self.host.name
+        self._tracer.emit(EventKind.DETECTED, source=name, mechanism=mechanism,
+                          observer=name, target=name)
+        self._tracer.emit(action, source="fme", node=name)
 
 
 class SfmeMonitor:
@@ -180,8 +183,7 @@ class SfmeMonitor:
     a node that cannot carry its share.
     """
 
-    __slots__ = ("env", "frontend", "backends", "poll_interval", "markers",
-                 "actions")
+    __slots__ = ("env", "frontend", "backends", "poll_interval", "actions")
 
     def __init__(
         self,
@@ -189,13 +191,11 @@ class SfmeMonitor:
         frontend,
         backends,
         poll_interval: float = 2.0,
-        markers: Optional[MarkerLog] = None,
     ):
         self.env = env
         self.frontend = frontend
         self.backends = list(backends)
         self.poll_interval = poll_interval
-        self.markers = markers if markers is not None else MarkerLog()
         self.actions = 0
         env.process(self._loop(), owner=frontend.host.os, name="sfme")
 
@@ -219,6 +219,7 @@ class SfmeMonitor:
                 if isolated and self.frontend.is_routed(b):
                     self.frontend.force_offline(b)
                     self.actions += 1
-                    self.markers.mark(self.env.now, "sfme_offline", b.host.name)
+                    self.frontend.tracer.emit(EventKind.SFME_OFFLINE,
+                                              source="sfme", node=b.host.name)
                 elif not isolated:
                     self.frontend.allow_online(b)

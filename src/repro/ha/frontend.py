@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hardware.host import Host
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.events import EventKind
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
 from repro.workload.client import Request, Router
 
 
@@ -61,7 +61,7 @@ class FrontEndConfig:
 class FrontEnd(Router):
     """The request distributor + Mon monitor."""
 
-    __slots__ = ("env", "host", "config", "markers", "_spans", "_c_probes",
+    __slots__ = ("env", "host", "config", "tracer", "_spans", "_c_probes",
                  "_c_probe_fail", "_g_active", "backends", "active",
                  "_fail_counts", "_forced_out", "_rr", "_functioning",
                  "_primary_up")
@@ -72,14 +72,14 @@ class FrontEnd(Router):
         host: Host,
         backends: List,
         config: FrontEndConfig = FrontEndConfig(),
-        markers: Optional[MarkerLog] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.env = env
         self.host = host
         self.config = config
-        self.markers = markers if markers is not None else MarkerLog()
-        tm = telemetry if telemetry is not None else NULL_TELEMETRY
+        tm = telemetry if telemetry is not None else Telemetry.disabled()
+        #: the world's event log (S-FME, running here, emits into it too)
+        self.tracer = tm.tracer
         self._spans = tm.spans
         m = tm.metrics
         self._c_probes = m.counter("fe_probes", node=host.name)
@@ -126,34 +126,36 @@ class FrontEnd(Router):
     def _monitor(self, backend):
         cfg = self.config
         key = id(backend)
-        # Loop-invariant bindings: the maps and marker log are mutated in
+        # Loop-invariant bindings: the maps and event log are mutated in
         # place but never rebound, and the backend's host name is fixed.
         env = self.env
         fail_counts = self._fail_counts
         active = self.active
-        mark = self.markers.mark
+        emit = self.tracer.emit
         backend_name = backend.host.name
         while True:
             yield env.timeout(cfg.probe_interval)
             if not self._functioning:
                 continue
             self._c_probes.inc()
-            now = env.now  # no yields below: time is constant this round
             if self._probe_ok(backend):
                 fail_counts[key] = 0
                 if not active[key]:
                     active[key] = True
                     self._update_active_gauge()
-                    mark(now, "fe_node_up", backend_name)
+                    emit(EventKind.FE_NODE_UP, source="frontend",
+                         node=backend_name)
             else:
                 self._c_probe_fail.inc()
                 fail_counts[key] += 1
                 if fail_counts[key] >= cfg.failure_threshold and active[key]:
                     active[key] = False
                     self._update_active_gauge()
-                    mark(now, "detected",
-                         ("mon", self.host.name, backend_name))
-                    mark(now, "fe_node_down", backend_name)
+                    emit(EventKind.DETECTED, source=self.host.name,
+                         mechanism="mon", observer=self.host.name,
+                         target=backend_name)
+                    emit(EventKind.FE_NODE_DOWN, source="frontend",
+                         node=backend_name)
 
     def _update_active_gauge(self) -> None:
         self._g_active.set(sum(
@@ -180,18 +182,23 @@ class FrontEnd(Router):
             return
         self._primary_up = False
         self._functioning = False
-        self.markers.mark(self.env.now, "fe_failed", self.host.name)
+        self.tracer.emit(EventKind.FE_FAILED, source="frontend",
+                         node=self.host.name)
         if self.config.redundant:
             def _takeover():
                 yield self.env.timeout(self.config.takeover_time)
                 if not self._primary_up:  # primary still down: backup serves
                     self._functioning = True
-                    self.markers.mark(self.env.now, "detected",
-                                      ("fe_takeover", self.host.name, self.host.name))
-                    self.markers.mark(self.env.now, "fe_takeover", self.host.name)
+                    emit = self.tracer.emit
+                    emit(EventKind.DETECTED, source=self.host.name,
+                         mechanism="fe_takeover", observer=self.host.name,
+                         target=self.host.name)
+                    emit(EventKind.FE_TAKEOVER, source="frontend",
+                         node=self.host.name)
             self.env.process(_takeover(), name="fe-takeover")
 
     def repair(self) -> None:
         self._primary_up = True
         self._functioning = True
-        self.markers.mark(self.env.now, "fe_repaired", self.host.name)
+        self.tracer.emit(EventKind.FE_REPAIRED, source="frontend",
+                         node=self.host.name)

@@ -4,8 +4,8 @@ Three pillars (see docs/ARCHITECTURE.md, "Observability"):
 
 * :class:`Tracer` — an append-only stream of typed :class:`TraceEvent`
   records (fault lifecycle, membership view changes, FME decisions,
-  server crash/restart, queue saturation, request outcomes), with
-  :class:`TracedMarkerLog` keeping the legacy MarkerLog surface alive.
+  server crash/restart, queue saturation, request failures): each
+  world's one event log.
 * :class:`MetricsHub` — labelled :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` instruments wired into the service hot paths, with
   a snapshot API.
@@ -77,8 +77,8 @@ from repro.obs.spans import (
     span_to_dict,
     spans_digest,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.obs.trace import TracedMarkerLog, Tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Tracer
 
 # The availability-accounting tier (recorder/attribution/budget/timeline)
 # sits ABOVE the core fitting layer, which itself imports the raw
@@ -146,7 +146,6 @@ __all__ = [
     "TraceEvent",
     "sanitize",
     "Tracer",
-    "TracedMarkerLog",
     "NULL_SPANS",
     "Span",
     "SpanRecorder",
@@ -173,7 +172,6 @@ __all__ = [
     "process_type",
     "subsystem_of_path",
     "Telemetry",
-    "NULL_TELEMETRY",
     "event_to_dict",
     "event_from_dict",
     "filter_events",

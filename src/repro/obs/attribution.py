@@ -223,18 +223,14 @@ class StageAttributor:
     # -- entry points ------------------------------------------------------
     def attribute(self, record: FlightRecord) -> AttributionReport:
         """Attribute a recorded flight (the ``repro budget`` path)."""
-        return self.attribute_trace(record.to_trace(), events=record.events)
+        return self.attribute_trace(record.to_trace())
 
-    def attribute_trace(
-        self,
-        trace: ExperimentTrace,
-        events: Sequence[TraceEvent] = (),
-    ) -> AttributionReport:
+    def attribute_trace(self, trace: ExperimentTrace) -> AttributionReport:
         """Attribute a live (or replayed) experiment trace.
 
-        ``events`` refines the timeline when available: detection comes
-        from the first ``detected`` event, and reconfiguration events are
-        checked for consistency with the stage-B window.
+        Detection is the trace's first ``detected`` event after injection,
+        and its reconfiguration events are checked for consistency with
+        the stage-B window.
         """
         cfg = self.config
         fitcfg = cfg.fit
@@ -247,8 +243,8 @@ class StageAttributor:
 
         template = self._fitter.fit(trace)
 
-        # -- detection boundary (events first, markers as fallback) --------
-        t_detect = self._detect_time(trace, events)
+        # -- detection boundary ---------------------------------------------
+        t_detect = trace.t_detect
         undetected = t_detect is None or t_detect > trace.t_repair
         if t_detect is not None and t_detect > trace.t_repair:
             notes.append(
@@ -289,7 +285,7 @@ class StageAttributor:
                              t_detect + d_b, trace.t_repair))
             checks.append(BoundaryCheck("B", d_b,
                                         template.stage("B").duration, tol))
-            self._check_reconfig_events(events, t_detect, t_detect + d_b,
+            self._check_reconfig_events(trace.events, t_detect, t_detect + d_b,
                                         trace.t_repair, notes)
         checks.insert(0, BoundaryCheck("A", d_a,
                                        template.stage("A").duration, tol))
@@ -348,15 +344,6 @@ class StageAttributor:
         )
 
     # -- internals ---------------------------------------------------------
-    def _detect_time(
-        self, trace: ExperimentTrace, events: Sequence[TraceEvent]
-    ) -> Optional[float]:
-        times = [e.time for e in events
-                 if e.kind == EventKind.DETECTED and e.time >= trace.t_inject]
-        if times:
-            return min(times)
-        return trace.t_detect  # marker-log fallback (live traces)
-
     def _window_loss(self, series, offered: float, t0: float, t1: float):
         """Integrate (offered, served, lost) request-seconds over [t0, t1)."""
         bucket = self.config.bucket

@@ -34,21 +34,17 @@ kind                   data fields
 ``server_crash``       ``node_id``
 ``queue_saturated``    ``queue``, ``action`` (reroute/dropped/qmon_failed)
 ``request_failed``     ``fid``, ``outcome``
-``request_ok``         ``fid``, ``latency`` (opt-in; see Telemetry)
 ``operator_reset``     ``fault``, ``target``
+``db_failover``        ``node`` promoted to bookstore database primary
+``auction_election``   ``node`` elected auction data master
 ``span``               one causal span (see :mod:`repro.obs.spans`)
 =====================  ========================================================
-
-Unknown marker labels pass through with ``kind`` equal to the label and a
-``{"value": ...}`` payload, so the stream is lossless even for ad-hoc
-annotations.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple
 
 
 class EventKind:
@@ -75,8 +71,9 @@ class EventKind:
     SERVER_CRASH = "server_crash"
     QUEUE_SATURATED = "queue_saturated"
     REQUEST_FAILED = "request_failed"
-    REQUEST_OK = "request_ok"
     OPERATOR_RESET = "operator_reset"
+    DB_FAILOVER = "db_failover"
+    AUCTION_ELECTION = "auction_election"
     SPAN = "span"
 
 
@@ -86,14 +83,13 @@ KNOWN_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped, typed telemetry record."""
+class TraceEvent(NamedTuple):
+    """One timestamped, typed telemetry record (treat ``data`` as read-only)."""
 
     time: float
     kind: str
     source: str = ""
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any] = {}
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
@@ -120,60 +116,3 @@ def sanitize(value: Any) -> Any:
     if kind is not None and target is not None:  # FaultComponent shape
         return {"kind": sanitize(kind), "target": sanitize(target)}
     return repr(value)
-
-
-#: marker label -> source attribution for facade-translated events
-_MARKER_SOURCES = {
-    EventKind.FAULT_INJECTED: "injector",
-    EventKind.FAULT_REPAIRED: "injector",
-    EventKind.OPERATOR_RESET: "operator",
-    EventKind.MEMB_VIEW: "membership",
-    EventKind.MEMB_EXCLUDED: "membership",
-    EventKind.MEMB_ADDED: "membership",
-    EventKind.FE_NODE_DOWN: "frontend",
-    EventKind.FE_NODE_UP: "frontend",
-    EventKind.FE_FAILED: "frontend",
-    EventKind.FE_TAKEOVER: "frontend",
-    EventKind.FE_REPAIRED: "frontend",
-    EventKind.FME_OFFLINE: "fme",
-    EventKind.FME_RESTART: "fme",
-    EventKind.SFME_OFFLINE: "sfme",
-}
-
-
-def marker_event(time: float, label: str, data: Any) -> TraceEvent:
-    """Translate one MarkerLog entry into a structured TraceEvent.
-
-    Known labels get typed payloads; unknown labels pass through with a
-    generic ``{"value": ...}`` payload.
-    """
-    source = _MARKER_SOURCES.get(label, "marker")
-    payload: Dict[str, Any]
-    if label == EventKind.DETECTED and isinstance(data, tuple) and len(data) == 3:
-        payload = {
-            "mechanism": sanitize(data[0]),
-            "observer": sanitize(data[1]),
-            "target": sanitize(data[2]),
-        }
-        source = str(payload["observer"])
-    elif label == EventKind.EXCLUDED and isinstance(data, tuple) and len(data) == 2:
-        payload = {"observer": sanitize(data[0]), "peer": sanitize(data[1])}
-        source = str(payload["observer"])
-    elif label in (EventKind.FAULT_INJECTED, EventKind.FAULT_REPAIRED,
-                   EventKind.OPERATOR_RESET) and hasattr(data, "kind"):
-        payload = {"fault": sanitize(data.kind), "target": sanitize(data.target)}
-    elif label in (EventKind.MEMB_EXCLUDED, EventKind.MEMB_ADDED):
-        payload = {"members": sanitize(data)}
-    elif label == EventKind.REINTEGRATED:
-        payload = {"peer": sanitize(data)}
-    elif label == EventKind.REJOINED:
-        payload = {"node": sanitize(data)}
-    elif label.startswith("fe_") or label.startswith("fme_") or label.startswith("sfme_"):
-        payload = {"node": sanitize(data)}
-    elif data is None:
-        payload = {}
-    elif isinstance(data, dict):
-        payload = {str(k): sanitize(v) for k, v in data.items()}
-    else:
-        payload = {"value": sanitize(data)}
-    return TraceEvent(time=float(time), kind=label, source=source, data=payload)

@@ -3,7 +3,7 @@
 A :class:`FlightRecord` is a complete, versioned snapshot of a phase-1
 injection experiment — the campaign configuration and seed, the fault
 lifecycle timeline, every structured :class:`~repro.obs.events.TraceEvent`,
-every marker, and the raw completion timestamps of the throughput series.
+and the raw completion timestamps of the throughput series.
 That is exactly the input set of the downstream analyses (the
 :class:`~repro.core.template.TemplateFitter` and the stage-attribution
 engine in :mod:`repro.obs.attribution`), so a saved record can be
@@ -28,9 +28,12 @@ field                   contents
                         ``t_end``/``normal_tput``/``offered_rate``
 ``component``           ``{"kind": ..., "target": ...}`` of the faulted part
 ``samples``             raw completion timestamps (the throughput series)
-``markers``             ``[time, label, data]`` triples (sanitized)
 ``events``              structured trace events (``event_to_dict`` form)
 ======================  ====================================================
+
+Schema 1 also stored every lifecycle event a second time as
+``[time, label, data]`` triples under ``markers``; such documents still
+load, and the ``markers`` field is ignored.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.faults.campaign import CampaignConfig, ExperimentTrace
 from repro.faults.types import FaultComponent, FaultKind
-from repro.obs.events import TraceEvent, sanitize
+from repro.obs.events import TraceEvent
 from repro.obs.export import event_from_dict, event_to_dict
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.sim.series import ThroughputSeries
 
 #: Bump when the artifact layout changes; readers refuse newer schemas.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PathOrFile = Union[str, Path, TextIO]
 
@@ -68,22 +71,18 @@ class FlightRecord:
     timeline: Dict[str, Optional[float]]
     component: FaultComponent
     samples: List[float]
-    markers: List[Any]  # [time, label, data] triples
     events: List[TraceEvent] = field(default_factory=list)
-    schema: int = SCHEMA_VERSION
 
     # -- construction ------------------------------------------------------
     @classmethod
     def from_experiment(
         cls,
         trace: ExperimentTrace,
-        events: List[TraceEvent],
         seed: int = 0,
         profile: str = "",
         target: str = "",
     ) -> "FlightRecord":
-        """Snapshot a freshly run :class:`ExperimentTrace` plus its
-        structured event stream (``telemetry.tracer.events``)."""
+        """Snapshot a freshly run :class:`ExperimentTrace` and its events."""
         timeline = {
             "t_inject": trace.t_inject,
             "t_detect": trace.t_detect,
@@ -103,9 +102,7 @@ class FlightRecord:
             timeline=timeline,
             component=trace.component,
             samples=[float(t) for t in trace.series.times],
-            markers=[[float(t), lbl, sanitize(d)]
-                     for t, lbl, d in trace.markers.entries],
-            events=list(events),
+            events=list(trace.events),
         )
 
     # -- replay ------------------------------------------------------------
@@ -113,21 +110,18 @@ class FlightRecord:
         """Rebuild the :class:`ExperimentTrace` the analyses consume.
 
         The rebuilt trace is observationally identical to the live one:
-        the throughput series has the same timestamps, the marker log the
-        same ``(time, label)`` pairs (payloads are the sanitized forms),
-        so fitting and attribution reproduce the online results exactly.
+        the throughput series has the same timestamps and the events are
+        the same, so fitting and attribution reproduce the online results
+        exactly.
         """
         series = ThroughputSeries(name=f"{self.version}:{self.fault}")
         for t in self.samples:
             series.record(t)
-        markers = MarkerLog()
-        for t, label, data in self.markers:
-            markers.mark(t, label, data)
         return ExperimentTrace(
             component=self.component,
             config=self.campaign,
             series=series,
-            markers=markers,
+            events=list(self.events),
             t_inject=float(self.timeline["t_inject"]),
             t_repair=float(self.timeline["t_repair"]),
             t_end=float(self.timeline["t_end"]),
@@ -141,7 +135,7 @@ class FlightRecord:
     # -- (de)serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "version": self.version,
             "fault": self.fault,
             "target": self.target,
@@ -152,7 +146,6 @@ class FlightRecord:
             "component": {"kind": self.component.kind.value,
                           "target": self.component.target},
             "samples": self.samples,
-            "markers": self.markers,
             "events": [event_to_dict(e) for e in self.events],
         }
 
@@ -178,9 +171,7 @@ class FlightRecord:
             timeline=dict(d["timeline"]),
             component=component,
             samples=[float(t) for t in d["samples"]],
-            markers=[list(m) for m in d.get("markers", [])],
             events=[event_from_dict(e) for e in d.get("events", [])],
-            schema=schema,
         )
 
     # -- convenience -------------------------------------------------------
@@ -276,7 +267,6 @@ def record_flight(
                                     telemetry=telemetry)
     return FlightRecord.from_experiment(
         trace,
-        events=telemetry.tracer.events,
         seed=getattr(world, "seed", config.seed),
         profile=config.profile.name,
         target=target or world.default_target(kind),

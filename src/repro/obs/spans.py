@@ -252,7 +252,7 @@ class SpanRecorder:
         self._trees.clear()
 
 
-#: Shared always-disabled recorder (mirrors NULL_TELEMETRY).
+#: Shared always-disabled recorder.
 NULL_SPANS = SpanRecorder(enabled=False)
 
 

@@ -17,6 +17,7 @@ from repro.obs.attribution import (
     AttributionReport,
     StageAttributor,
 )
+from repro.faults.campaign import ExperimentTrace
 from repro.obs.recorder import FlightRecord
 
 #: fault-lifecycle marks shown beside the chart
@@ -62,7 +63,7 @@ def render_timeline(
     ]
     for t, r in zip(times, rates):
         stage = _stage_of(report, t, t + bucket)
-        marks = _marks_in(record, t, t + bucket)
+        marks = _marks_in(trace, t, t + bucket)
         bar = format_bar(float(r), peak, width=width)
         suffix = f"  {' '.join(marks)}" if marks else ""
         lines.append(
@@ -116,17 +117,10 @@ def _stage_of(report: AttributionReport, t0: float, t1: float) -> str:
     return "." if best[1] == RESIDUAL_STAGE else best[1]
 
 
-def _marks_in(record: FlightRecord, t0: float, t1: float) -> List[str]:
+def _marks_in(trace: ExperimentTrace, t0: float, t1: float) -> List[str]:
     marks = []
-    for label, key in _MARKS:
-        t = record.timeline.get(key)
-        if key == "t_detect":
-            # Attribution uses the event stream for detection; the chart
-            # should mark the same instant.
-            events = record.events_of("detected")
-            after = [e.time for e in events
-                     if e.time >= record.timeline["t_inject"]]
-            t = min(after) if after else t
+    for label, attr in _MARKS:
+        t = getattr(trace, attr)
         if t is not None and t0 <= float(t) < t1:
             marks.append(label)
     return marks

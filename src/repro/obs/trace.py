@@ -1,60 +1,29 @@
-"""The structured tracer and its MarkerLog-compatible facade.
+"""The structured event log of one world.
 
 :class:`Tracer` is the append-only stream of :class:`~repro.obs.events.TraceEvent`
-records.  Components emit through it directly; legacy marker-based code
-keeps working through :class:`TracedMarkerLog`, a drop-in
-:class:`~repro.sim.series.MarkerLog` whose ``mark`` calls are mirrored
-into the tracer as typed events.  The template fitter (which consumes the
-MarkerLog interface) therefore sees exactly what it always saw, while the
-exporters see the structured stream.
-
-With ``enabled=False`` every ``emit`` returns immediately after one
-attribute check — the guard-checked fast path the kernel benchmark
-verifies.
+records.  Components emit fault-lifecycle and HA events into it directly
+(``tracer.emit(EventKind.DETECTED, source=..., **fields)``), and it is
+the only event log a world keeps: ``World.markers`` is this object, and
+the 7-stage template fitter reads its ``detected`` events.  It therefore
+always records, whatever the rest of the telemetry bundle does.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, List, Optional
 
-from repro.obs.events import TraceEvent, marker_event, sanitize
-from repro.sim.series import MarkerLog
+from repro.obs.events import TraceEvent, sanitize
 
 
 class Tracer:
-    """Append-only, typed telemetry stream.
+    """Append-only, typed event log."""
 
-    ``max_events`` bounds in-memory retention: when set, the stream
-    becomes a ring buffer — the oldest events are discarded as new ones
-    arrive, and ``dropped`` counts the casualties (long campaigns would
-    otherwise accumulate an unbounded list).  Subscribers still see
-    *every* event at emit time, so exporters that stream to disk lose
-    nothing; only the in-memory tail is capped.  ``drop_counter`` is an
-    optional Counter-shaped object (``inc()``) mirroring the drop count
-    into a metrics registry.
-    """
+    __slots__ = ("_events", "_env", "_subscribers")
 
-    __slots__ = ("enabled", "_events", "_env", "_subscribers", "_max_events",
-                 "dropped", "_drop_counter")
-
-    def __init__(self, enabled: bool = True, max_events: Optional[int] = None,
-                 drop_counter=None):
-        if max_events is not None and max_events <= 0:
-            raise ValueError(f"max_events must be positive, got {max_events}")
-        self.enabled = enabled
-        self._max_events = max_events
-        self._events: Any = (deque(maxlen=max_events) if max_events is not None
-                             else [])
+    def __init__(self) -> None:
+        self._events: List[TraceEvent] = []
         self._env = None
         self._subscribers: List[Callable[[TraceEvent], None]] = []
-        self.dropped = 0
-        self._drop_counter = drop_counter
-
-    @property
-    def max_events(self) -> Optional[int]:
-        """Retention cap, or None for unbounded."""
-        return self._max_events
 
     # -- wiring ----------------------------------------------------------
     def bind_clock(self, env) -> None:
@@ -67,36 +36,21 @@ class Tracer:
 
     # -- emission --------------------------------------------------------
     def emit(self, kind: str, source: str = "", time: Optional[float] = None,
-             **data: Any) -> Optional[TraceEvent]:
-        """Record one event; no-op (returns None) when disabled."""
-        if not self.enabled:
-            return None
+             **data: Any) -> TraceEvent:
+        """Record one event (``data`` is sanitized to JSON primitives)."""
         if time is None:
             time = self._env.now if self._env is not None else 0.0
-        event = TraceEvent(time=float(time), kind=kind, source=source,
-                           data={k: sanitize(v) for k, v in data.items()})
-        return self._append(event)
-
-    def emit_marker(self, time: float, label: str, data: Any) -> Optional[TraceEvent]:
-        """Record a legacy marker as a structured event; no-op when disabled."""
-        if not self.enabled:
-            return None
-        return self._append(marker_event(time, label, data))
-
-    def _append(self, event: TraceEvent) -> TraceEvent:
-        buf = self._events
-        if self._max_events is not None and len(buf) == self._max_events:
-            self.dropped += 1
-            if self._drop_counter is not None:
-                self._drop_counter.inc()
-        buf.append(event)
+        event = TraceEvent(float(time), kind, source,
+                           {k: sanitize(v) for k, v in data.items()})
+        self._events.append(event)
         for fn in self._subscribers:
             fn(event)
         return event
 
     # -- access ----------------------------------------------------------
     @property
-    def events(self) -> List[TraceEvent]:
+    def entries(self) -> List[TraceEvent]:
+        """A copy of every event recorded so far, in emission order."""
         return list(self._events)
 
     def events_of(self, *kinds: str) -> List[TraceEvent]:
@@ -114,20 +68,3 @@ class Tracer:
 
     def clear(self) -> None:
         self._events.clear()
-
-
-class TracedMarkerLog(MarkerLog):
-    """A MarkerLog whose marks are mirrored into a :class:`Tracer`.
-
-    Behaviourally identical to a plain MarkerLog for every query
-    (``entries``/``all``/``first``/``last``/``labels``); the only addition
-    is the side channel into the structured trace.
-    """
-
-    def __init__(self, tracer: Tracer):
-        super().__init__()
-        self._tracer = tracer
-
-    def mark(self, time: float, label: str, data: Any = None) -> None:
-        super().mark(time, label, data)
-        self._tracer.emit_marker(time, label, data)

@@ -13,8 +13,8 @@ def bad_identity(tracer, obj):
     tracer.emit("server_start", node=id(obj))  # BAD REP004
 
 
-def bad_marker_set(markers, now, dropped: set):
-    markers.mark(now, "memb_excluded", dropped)  # BAD REP004
+def bad_marker_set(tracer, now, dropped: set):
+    tracer.emit("memb_excluded", time=now, members=dropped)  # BAD REP004
 
 
 def good_sorted_payload(tracer, members):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 
 
 @pytest.fixture
@@ -20,5 +20,8 @@ def rngs() -> RngRegistry:
 
 
 @pytest.fixture
-def markers() -> MarkerLog:
-    return MarkerLog()
+def telemetry(env) -> Telemetry:
+    """A metrics-off bundle on ``env``; its tracer is the event log."""
+    tm = Telemetry.disabled()
+    tm.attach(env)
+    return tm

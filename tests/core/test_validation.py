@@ -33,7 +33,7 @@ class TestValidationCatalog:
 
 
 class TestFaultLoadDriver:
-    def test_serializes_faults_and_logs_them(self, env, markers):
+    def test_serializes_faults_and_logs_them(self, env, telemetry):
         """Faults queue: a new fault starts only after the previous repair
         + recovery wait, per the paper's model assumption."""
         from repro.faults.faultload import FaultCatalog, FaultRate
@@ -49,9 +49,9 @@ class TestFaultLoadDriver:
 
         world = W()
         world.env = env
-        world.markers = markers
+        world.markers = telemetry.tracer
         world.offered_rate = 100.0
-        world.injector = FaultInjector(env, {"n1": host}, markers=markers)
+        world.injector = FaultInjector(env, {"n1": host}, telemetry=telemetry)
         world.default_target = lambda kind: "n1"
         world.operator_reset = lambda: None
 
@@ -74,13 +74,52 @@ class TestFaultLoadDriver:
         env.run(until=400.0)
         assert len(log) >= 2
         # Never two active faults at once.
-        injected = markers.all("fault_injected")
-        repaired = markers.all("fault_repaired")
-        events = sorted([(t, +1) for t, _ in injected] + [(t, -1) for t, _ in repaired])
+        log = telemetry.tracer
+        events = sorted([(e.time, +1) for e in log.events_of("fault_injected")]
+                        + [(e.time, -1) for e in log.events_of("fault_repaired")])
         active = 0
         for _, delta in events:
             active += delta
             assert 0 <= active <= 1
+
+    def test_operator_reset_names_fault_and_target(self, env, telemetry):
+        """A reset after a stuck fault carries the fault and its target,
+        so span phases label the post-reset window after the fault."""
+        from repro.faults.faultload import FaultCatalog, FaultRate
+        from repro.faults.injector import FaultInjector
+        from repro.hardware.host import Host
+        from repro.obs.spans import phases_from_trace
+        from repro.sim.series import ThroughputSeries
+
+        host = Host(env, "n1", 1)
+        catalog = FaultCatalog([FaultRate(FaultKind.NODE_CRASH, 50.0, 5.0, 1)])
+
+        class W:
+            pass
+
+        world = W()
+        world.env = env
+        world.markers = telemetry.tracer
+        world.offered_rate = 100.0
+        world.injector = FaultInjector(env, {"n1": host}, telemetry=telemetry)
+        world.default_target = lambda kind: "n1"
+        world.operator_reset = lambda: None
+
+        class Stats:
+            series = ThroughputSeries()  # no throughput: always degraded
+
+        world.stats = Stats()
+        env.process(_fault_load_driver(world, catalog, np.random.default_rng(5),
+                                       horizon=200.0, recovery_wait=5.0,
+                                       operator_threshold=0.5, log=[]))
+        env.run(until=200.0)
+        reset = telemetry.tracer.first("operator_reset")
+        assert reset is not None
+        assert reset.source == "operator"
+        assert reset.data == {"fault": "node_crash", "target": "n1"}
+        after = [p for p in phases_from_trace(telemetry.tracer.entries, end=env.now)
+                 if p[1] == reset.time]
+        assert after and after[0][0] == "after node_crash"
 
     def test_result_ratio(self):
         result = ValidationResult(

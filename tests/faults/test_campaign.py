@@ -6,7 +6,9 @@ from repro.faults.campaign import CampaignConfig, SingleFaultCampaign
 from repro.faults.injector import FaultInjector
 from repro.faults.types import FaultKind
 from repro.hardware.host import Host
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.obs.telemetry import Telemetry
+from repro.sim.kernel import Environment
+from repro.sim.series import ThroughputSeries
 
 
 class ScriptedWorld:
@@ -15,7 +17,9 @@ class ScriptedWorld:
     def __init__(self, env, normal_rate=100.0, faulty_rate=20.0,
                  recovers_alone=True):
         self.env = env
-        self.markers = MarkerLog()
+        telemetry = Telemetry.disabled()
+        telemetry.attach(env)
+        self.markers = telemetry.tracer
         self.version = "scripted"
         self.offered_rate = normal_rate
         self._normal = normal_rate
@@ -29,7 +33,7 @@ class ScriptedWorld:
 
         self.stats = Stats()
         host = Host(env, "n1", 1)
-        self.injector = FaultInjector(env, {"n1": host}, markers=self.markers)
+        self.injector = FaultInjector(env, {"n1": host}, telemetry=telemetry)
         env.process(self._serve(), name="scripted-server")
 
     def _rate(self):
@@ -81,8 +85,9 @@ class TestCampaign:
     def test_markers_shared_with_injector(self, env, cfg):
         world = ScriptedWorld(env)
         trace = SingleFaultCampaign(world, cfg).run(FaultKind.NODE_FREEZE, "n1")
-        assert trace.markers.first("fault_injected") == pytest.approx(30.0)
-        assert trace.markers.first("fault_repaired") == pytest.approx(50.0)
+        kinds = {e.kind: e.time for e in trace.events}
+        assert kinds["fault_injected"] == pytest.approx(30.0)
+        assert kinds["fault_repaired"] == pytest.approx(50.0)
 
     def test_degraded_rate_visible_in_trace(self, env, cfg):
         world = ScriptedWorld(env, faulty_rate=10.0)
@@ -107,8 +112,21 @@ class TestCampaign:
 
     def test_t_detect_uses_first_marker_after_injection(self, env, cfg):
         world = ScriptedWorld(env)
-        world.markers.mark(5.0, "detected", "stale")
+        world.markers.emit("detected", time=5.0, mechanism="stale")
         trace = SingleFaultCampaign(world, cfg).run(FaultKind.NODE_FREEZE, "n1")
-        assert trace.t_detect is None  # stale marker ignored
-        world.markers.mark(trace.t_inject + 3.0, "detected", "real")
+        assert trace.t_detect is None  # stale detection ignored
+
+    def test_t_detect_is_first_detection_after_injection(self, cfg):
+        env = Environment()
+        world = ScriptedWorld(env)
+        world.markers.emit("detected", time=5.0, mechanism="stale")
+
+        def detections():
+            yield env.timeout(cfg.warmup + 3.0)
+            world.markers.emit("detected", mechanism="real")
+            yield env.timeout(2.0)
+            world.markers.emit("detected", mechanism="later")
+
+        env.process(detections())
+        trace = SingleFaultCampaign(world, cfg).run(FaultKind.NODE_FREEZE, "n1")
         assert trace.t_detect == pytest.approx(trace.t_inject + 3.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults.injector import FaultInjector
-from repro.faults.types import FaultComponent, FaultKind
+from repro.faults.types import FaultKind
 from repro.hardware.disk import Disk, DiskParams
 from repro.hardware.host import Host, NodeService
 from repro.net.network import ClusterNetwork
@@ -34,7 +34,7 @@ class DummyFrontend:
 
 
 @pytest.fixture
-def world(env, markers):
+def world(env, telemetry):
     net = ClusterNetwork(env)
     hosts = {}
     disks = {}
@@ -51,7 +51,7 @@ def world(env, markers):
         env, hosts, network=net, disks=disks,
         frontends={"fe0": fe},
         app_of=lambda h: h.services["press"],
-        markers=markers,
+        telemetry=telemetry,
     )
     return injector, hosts, disks, net, fe
 
@@ -127,14 +127,16 @@ class TestBookkeeping:
         with pytest.raises(ValueError):
             injector.inject(FaultKind.NODE_CRASH, "n0")
 
-    def test_markers_recorded(self, env, world, markers):
+    def test_markers_recorded(self, env, world, telemetry):
         injector, *_ = world
         f = injector.inject(FaultKind.NODE_CRASH, "n0")
         injector.repair(f)
-        assert markers.first("fault_injected") == 0.0
-        assert markers.first("fault_repaired") == 0.0
-        (_, comp), = markers.all("fault_injected")
-        assert comp == FaultComponent(FaultKind.NODE_CRASH, "n0")
+        log = telemetry.tracer
+        assert log.first("fault_injected").time == 0.0
+        assert log.first("fault_repaired").time == 0.0
+        injected, = log.events_of("fault_injected")
+        assert injected.source == "injector"
+        assert injected.data == {"fault": "node_crash", "target": "n0"}
 
     def test_inject_for_schedules_repair(self, env, world):
         injector, hosts, *_ = world

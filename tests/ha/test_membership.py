@@ -13,14 +13,14 @@ from repro.net.network import ClusterNetwork
 
 
 @pytest.fixture
-def cluster(env, markers):
+def cluster(env, telemetry):
     net = ClusterNetwork(env)
     mnet = MembershipNetwork(net)
     hosts, daemons = [], []
     for i in range(4):
         h = Host(env, f"n{i}", i)
         net.attach(h)
-        d = MembershipDaemon(h, i, mnet, MembershipConfig(), markers)
+        d = MembershipDaemon(h, i, mnet, MembershipConfig(), telemetry)
         d.start()
         hosts.append(h)
         daemons.append(d)
@@ -54,13 +54,13 @@ class TestExclusion:
         for d in (daemons[0], daemons[2], daemons[3]):
             assert sorted(d.view) == [0, 2, 3]
 
-    def test_detection_within_loss_threshold(self, env, cluster, markers):
+    def test_detection_within_loss_threshold(self, env, cluster, telemetry):
         _, hosts, daemons = cluster
         env.run(until=10)
         hosts[1].crash()
         env.run(until=60)
-        detect = markers.first("detected")
-        assert detect is not None and detect <= 10 + 3 * 5.0 + 5.0
+        detect = telemetry.tracer.first("detected")
+        assert detect is not None and detect.time <= 10 + 3 * 5.0 + 5.0
 
     def test_frozen_node_excluded_then_rejoins_on_thaw(self, env, cluster):
         _, hosts, daemons = cluster

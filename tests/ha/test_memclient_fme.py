@@ -96,14 +96,14 @@ class ProbeApp(NodeService):
 
 
 @pytest.fixture
-def node(env, markers):
+def node(env, telemetry):
     host = Host(env, "n1", 1)
     Disk(env, host, 0, DiskParams(seek_time=0.001, jitter=0.0))
     Disk(env, host, 1, DiskParams(seek_time=0.001, jitter=0.0))
     app = ProbeApp(host)
     fme = FmeDaemon(host, app, FmeConfig(probe_interval=2.0, probe_timeout=0.5,
                                          confirm_delay=0.2, reboot_poll=1.0,
-                                         reboot_delay=1.0), markers)
+                                         reboot_delay=1.0), telemetry=telemetry)
     host.start_all()
     return host, app, fme
 
@@ -115,23 +115,23 @@ class TestFme:
         assert fme.enforcements == 0
         assert app.starts == 1
 
-    def test_hang_converted_to_crash_restart(self, env, node, markers):
+    def test_hang_converted_to_crash_restart(self, env, node, telemetry):
         host, app, fme = node
         env.run(until=1)
         app.inject_hang()
         env.run(until=10)
         assert fme.enforcements >= 1
-        assert markers.first("fme_restart") is not None
+        assert telemetry.tracer.first("fme_restart") is not None
         assert app.starts == 2
         assert app.responsive
 
-    def test_disk_fault_takes_node_offline(self, env, node, markers):
+    def test_disk_fault_takes_node_offline(self, env, node, telemetry):
         host, app, fme = node
         env.run(until=1)
         host.disks[0].set_faulty()
         app.inject_hang()  # disk death manifests as the app wedging
         env.run(until=12)
-        assert markers.first("fme_offline") is not None
+        assert telemetry.tracer.first("fme_offline") is not None
         assert not host.is_up
 
     def test_node_boots_after_disk_repair(self, env, node):

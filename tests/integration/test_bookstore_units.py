@@ -4,6 +4,7 @@ from repro.bookstore.config import BookstoreConfig
 from repro.bookstore.tiers import DbCluster, DbServer, Dispatcher, Job, TierServer
 from repro.hardware.disk import Disk, DiskParams
 from repro.hardware.host import Host
+from repro.obs.trace import Tracer
 
 FAST = BookstoreConfig(
     web_cpu=1e-4, app_cpu=1e-4, db_cpu=1e-4,
@@ -105,7 +106,7 @@ class TestTierServer:
 
 class TestDbCluster:
     def build(self, env):
-        cluster = DbCluster(env, FAST)
+        cluster = DbCluster(env, FAST, Tracer())
         servers = []
         for i in range(2):
             host = Host(env, f"db{i}", i)
@@ -140,7 +141,7 @@ class TestDbCluster:
         Disk(env, host, 0, DiskParams(seek_time=0.001, jitter=0.0))
         import numpy as np
 
-        srv = DbServer(host, cfg, DbCluster(env, cfg), rng=np.random.default_rng(1))
+        srv = DbServer(host, cfg, DbCluster(env, cfg, Tracer()), rng=np.random.default_rng(1))
         srv.cluster.attach(srv)
         srv.start()
         job = Job(env, "q")

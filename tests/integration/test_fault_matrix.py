@@ -83,8 +83,8 @@ class TestTechniqueSignatures:
     def test_mq_oscillates_on_app_hang(self):
         """Queue monitor removes, membership re-adds: Section 4.4's conflict."""
         _, world = run("MQ", FaultKind.APP_HANG)
-        exclusions = [d for t, d in world.markers.all("detected")
-                      if d[0] == "qmon" and d[2] == 1]
+        exclusions = [e for e in world.markers.events_of("detected")
+                      if e.get("mechanism") == "qmon" and e.get("target") == 1]
         assert len(exclusions) >= 2  # removed more than once
 
     def test_fme_converts_hang_to_restart(self):

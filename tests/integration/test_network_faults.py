@@ -40,7 +40,7 @@ class TestSwitchDown:
         env.run(until=400.0)
         # daemons re-merge and presses re-wire, no operator involved
         assert all(len(s.coop) == 5 for s in world.servers)
-        resets = world.markers.all("operator_reset")
+        resets = world.markers.events_of("operator_reset")
         assert not resets
 
 

@@ -32,7 +32,7 @@ def _node_crash_blame(version_name):
     telemetry = Telemetry(trace_spans=True)
     run_single_fault(version(version_name), FaultKind.NODE_CRASH,
                      QuantifyConfig.quick(), telemetry=telemetry)
-    phases = phases_from_trace(telemetry.tracer.events)
+    phases = phases_from_trace(telemetry.tracer.entries)
     report = blame_report(telemetry.spans.trees(), percentile=99.0,
                           phases=phases)
     return telemetry, report
@@ -92,7 +92,7 @@ def _canonical(obj):
 
 def world_digest(world):
     """Chained SHA-256 over telemetry-independent simulation outputs:
-    the marker-log entries, request outcomes, final clock and the
+    the event-log entries, request outcomes, final clock and the
     kernel's processed-event count."""
     chain = hashlib.sha256(b"repro-telemetry-invariance")
     for entry in world.markers.entries:
@@ -113,11 +113,11 @@ class TestWorldDigest:
                processed=100):
         from types import SimpleNamespace
 
-        from repro.sim.series import MarkerLog
+        from repro.obs.trace import Tracer
 
-        markers = MarkerLog()
+        markers = Tracer()
         for t, label, data in marks:
-            markers.mark(t, label, data)
+            markers.emit(label, time=t, mechanism=data)
         return SimpleNamespace(
             env=SimpleNamespace(now=now, processed_count=processed),
             markers=markers,
@@ -163,7 +163,6 @@ TELEMETRY_CONFIGS = {
     "unsubscribed": lambda sink: (Telemetry(), None),
     "jsonl-export": lambda sink: (_exporting(sink), None),
     "spans": lambda sink: (Telemetry(trace_spans=True), None),
-    "ring-buffer": lambda sink: (Telemetry(trace_max_events=64), None),
     "kernel-profiler": lambda sink: (Telemetry(), KernelProfiler()),
 }
 
@@ -194,7 +193,7 @@ class TestZeroPerturbation:
         traced = Telemetry(trace_spans=True)
         run_single_fault(version("COOP"), FaultKind.NODE_CRASH, config,
                          telemetry=traced)
-        a = [event_to_dict(e) for e in plain.tracer.events]
-        b = [event_to_dict(e) for e in traced.tracer.events]
+        a = [event_to_dict(e) for e in plain.tracer.entries]
+        b = [event_to_dict(e) for e in traced.tracer.entries]
         assert len(traced.spans) > 0
         assert a == b

@@ -9,7 +9,7 @@ from repro.faults.campaign import CampaignConfig, ExperimentTrace
 from repro.faults.types import FaultComponent, FaultKind
 from repro.obs.events import TraceEvent
 from repro.obs.recorder import FlightRecord
-from repro.sim.series import MarkerLog, ThroughputSeries
+from repro.sim.series import ThroughputSeries
 
 
 def synth_series(segments):
@@ -28,14 +28,14 @@ def synth_series(segments):
     return series
 
 
-def make_trace(segments, t_inject, t_repair, t_end, markers=None,
+def make_trace(segments, t_inject, t_repair, t_end, events=(),
                normal=100.0, offered=100.0, t_reset=None,
                kind=FaultKind.NODE_CRASH, config=None):
     return ExperimentTrace(
         component=FaultComponent(kind, "n1"),
         config=config or CampaignConfig(),
         series=synth_series(segments),
-        markers=markers or MarkerLog(),
+        events=list(events),
         t_inject=t_inject,
         t_repair=t_repair,
         t_end=t_end,
@@ -47,18 +47,15 @@ def make_trace(segments, t_inject, t_repair, t_end, markers=None,
 
 
 def detected_at(t, mechanism="heartbeat", observer="n2", target="n1"):
-    """Matching marker + structured event for one detection."""
-    marker = (t, "detected", (mechanism, observer, target))
-    event = TraceEvent(time=t, kind="detected", source=observer,
-                       data={"mechanism": mechanism, "observer": observer,
-                             "target": target})
-    return marker, event
+    """The ``detected`` event of one detection."""
+    return TraceEvent(time=t, kind="detected", source=observer,
+                      data={"mechanism": mechanism, "observer": observer,
+                            "target": target})
 
 
-def make_record(trace, events=(), seed=0, profile="synth"):
+def make_record(trace, seed=0, profile="synth"):
     return FlightRecord.from_experiment(
-        trace, events=list(events), seed=seed, profile=profile,
-        target=trace.component.target,
+        trace, seed=seed, profile=profile, target=trace.component.target,
     )
 
 
@@ -69,11 +66,9 @@ def standard_detected_record(normal=100.0, offered=100.0):
     reconfiguration transient, degraded at 70 until repair at 150, a
     re-integration transient, back to normal until 240.
     """
-    markers = MarkerLog()
-    marker, event = detected_at(75.0)
-    markers.mark(*marker[:2], marker[2])
     segments = [(0, 60, normal), (60, 75, 1.0), (75, 85, 40.0),
                 (85, 150, 70.0), (150, 160, 85.0), (160, 240, normal)]
     trace = make_trace(segments, t_inject=60.0, t_repair=150.0, t_end=240.0,
-                       markers=markers, normal=normal, offered=offered)
-    return make_record(trace, events=[event])
+                       events=[detected_at(75.0)], normal=normal,
+                       offered=offered)
+    return make_record(trace)

@@ -9,7 +9,6 @@ from repro.obs.attribution import (
     AttributionConfig,
     StageAttributor,
 )
-from repro.sim.series import MarkerLog
 
 from tests.obs.synth import detected_at, make_record, make_trace, standard_detected_record
 
@@ -89,13 +88,10 @@ class TestUndetectedFault:
         assert a.cause == "undetected-fault"
 
     def test_detection_after_repair_is_noted(self):
-        markers = MarkerLog()
-        marker, event = detected_at(95.0)
-        markers.mark(marker[0], marker[1], marker[2])
         segments = [(0, 60, 100.0), (60, 90, 70.0), (90, 180, 100.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=90.0,
-                           t_end=180.0, markers=markers)
-        report = attribute(make_record(trace, events=[event]))
+                           t_end=180.0, events=[detected_at(95.0)])
+        report = attribute(make_record(trace))
         assert [s.stage for s in report.slices][0] == "A"
         assert any("after repair" in n for n in report.notes)
 
@@ -113,14 +109,11 @@ class TestNoOperatorReset:
     def test_flat_degraded_plateau_becomes_stage_e(self):
         # After repair the service plateaus at 60% of normal and never
         # climbs: not self-recovered, stage E with the operator cause.
-        markers = MarkerLog()
-        marker, event = detected_at(65.0)
-        markers.mark(marker[0], marker[1], marker[2])
         segments = [(0, 60, 100.0), (60, 65, 1.0), (65, 120, 70.0),
                     (120, 240, 60.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=120.0,
-                           t_end=240.0, markers=markers)
-        report = attribute(make_record(trace, events=[event]))
+                           t_end=240.0, events=[detected_at(65.0)])
+        report = attribute(make_record(trace))
         e = [s for s in report.slices if s.stage == "E"]
         assert e and e[-1].cause == "stable-suboptimal-awaiting-operator"
         assert not report.self_recovered
@@ -128,9 +121,6 @@ class TestNoOperatorReset:
 
 class TestOperatorReset:
     def _record(self):
-        markers = MarkerLog()
-        marker, event = detected_at(65.0)
-        markers.mark(marker[0], marker[1], marker[2])
         # reconfiguration transient, degraded through repair, flat
         # suboptimal until the operator resets at 180; 10 s outage;
         # re-warm until normal at 220.
@@ -138,8 +128,9 @@ class TestOperatorReset:
                     (75, 120, 70.0), (120, 130, 85.0), (130, 180, 60.0),
                     (190, 220, 80.0), (220, 300, 100.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=120.0,
-                           t_end=300.0, markers=markers, t_reset=180.0)
-        return make_record(trace, events=[event])
+                           t_end=300.0, events=[detected_at(65.0)],
+                           t_reset=180.0)
+        return make_record(trace)
 
     def test_full_stage_ladder(self):
         report = attribute(self._record())
@@ -175,13 +166,10 @@ class TestZeroThroughputWindows:
         assert report.coverage >= 0.95
 
     def test_zero_throughput_with_detection(self):
-        markers = MarkerLog()
-        marker, event = detected_at(70.0)
-        markers.mark(marker[0], marker[1], marker[2])
         segments = [(0, 60, 100.0), (120, 130, 80.0), (130, 220, 100.0)]
         trace = make_trace(segments, t_inject=60.0, t_repair=120.0,
-                           t_end=220.0, markers=markers)
-        report = attribute(make_record(trace, events=[event]))
+                           t_end=220.0, events=[detected_at(70.0)])
+        report = attribute(make_record(trace))
         # B's target level is ~0; the scan must place boundaries without
         # dividing by zero and keep the partition exact.
         for prev, cur in zip(report.slices, report.slices[1:]):

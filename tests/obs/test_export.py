@@ -31,7 +31,7 @@ def _sample_events():
             members=[0, 2, 3], version=7, dropped=[1], added=[])
     tr.emit("queue_saturated", source="n2", time=115.25,
             queue="n2->n1.sq", action="reroute")
-    return tr.events
+    return tr.entries
 
 
 class TestJsonl:

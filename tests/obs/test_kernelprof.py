@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.kernelprof import KernelProfiler, callback_owner
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment
 
 
@@ -198,21 +198,24 @@ class TestTelemetry:
         env = Environment()
         tm.attach(env)
         assert env.monitor is None
-        assert tm.tracer.emit("server_start") is None
         tm.metrics.counter("x").inc()
         assert tm.metrics.snapshot() == []
-        assert not tm.trace_requests
-
-    def test_marker_log_mirrors_into_tracer(self):
-        tm = Telemetry()
-        log = tm.marker_log()
-        log.mark(1.0, "detected", ("heartbeat", 0, 1))
+        assert not tm.trace_spans and env.spans is None
+        # the event log is simulation output: it records regardless
+        assert tm.tracer.emit("server_start").time == 0.0
         assert len(tm.tracer) == 1
-        assert tm.tracer.first("detected").data["mechanism"] == "heartbeat"
 
-    def test_null_telemetry_shared(self):
-        assert not NULL_TELEMETRY.enabled
-        assert NULL_TELEMETRY.tracer.emit("x") is None
+    def test_components_without_a_bundle_keep_separate_logs(self):
+        from repro.faults.injector import FaultInjector
+        from repro.faults.types import FaultKind
+        from repro.hardware.host import Host
+
+        env = Environment()
+        a = FaultInjector(env, {"n0": Host(env, "n0", 0)})
+        b = FaultInjector(env, {"n1": Host(env, "n1", 1)})
+        a.inject(FaultKind.NODE_FREEZE, "n0")
+        assert len(a._tracer) == 1
+        assert len(b._tracer) == 0
 
 
 class TestMonitorLifecycle:

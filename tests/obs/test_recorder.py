@@ -86,3 +86,37 @@ class TestReplay:
         replayed = read_record(path)
         assert replayed.events == record.events
         assert replayed.events_of("detected")
+
+
+class TestSchemaOne:
+    """Schema-1 records stored every event twice (``markers`` triples
+    plus ``events``); they still load, and ``markers`` is ignored."""
+
+    @staticmethod
+    def _schema_one(record):
+        doc = record.to_dict()
+        doc["schema"] = 1
+        doc["markers"] = [
+            [e.time, e.kind, [e.get("mechanism"), e.get("observer"),
+                              e.get("target")]]
+            for e in record.events
+        ]
+        return doc
+
+    def test_loads_and_upgrades(self, record):
+        doc = self._schema_one(record)
+        assert doc["markers"]
+        loaded = FlightRecord.from_dict(doc)
+        assert loaded.events == record.events
+        upgraded = loaded.to_dict()
+        assert upgraded["schema"] == SCHEMA_VERSION == 2
+        assert "markers" not in upgraded
+        assert upgraded == record.to_dict()
+
+    def test_fits_and_attributes_to_the_same_numbers(self, record):
+        loaded = FlightRecord.from_dict(self._schema_one(record))
+        fitter = TemplateFitter()
+        assert fitter.fit(loaded.to_trace()) == fitter.fit(record.to_trace())
+        attributor = StageAttributor()
+        assert attributor.attribute(loaded).to_dict() == \
+            attributor.attribute(record).to_dict()

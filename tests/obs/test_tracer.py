@@ -1,10 +1,20 @@
-"""Tracer, marker translation, and the MarkerLog facade equivalence."""
+"""The tracer (each world's event log) and the events components emit."""
 
+from repro.faults.injector import FaultInjector
 from repro.faults.types import FaultComponent, FaultKind
-from repro.obs.events import EventKind, KNOWN_KINDS, marker_event, sanitize
-from repro.obs.trace import TracedMarkerLog, Tracer
+from repro.ha.frontend import FrontEnd, FrontEndConfig
+from repro.ha.membership import (
+    MembershipConfig,
+    MembershipDaemon,
+    MembershipNetwork,
+    bootstrap_membership,
+)
+from repro.hardware.host import Host, NodeService
+from repro.net.network import ClusterNetwork
+from repro.obs.events import EventKind, KNOWN_KINDS, TraceEvent, sanitize
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Tracer
 from repro.sim.kernel import Environment
-from repro.sim.series import MarkerLog
 
 
 class TestTracer:
@@ -17,11 +27,20 @@ class TestTracer:
         assert [e.kind for e in tr.events_of("server_start")] == ["server_start"]
         assert tr.first("nothing") is None
 
-    def test_disabled_is_inert(self):
-        tr = Tracer(enabled=False)
-        assert tr.emit("server_start", time=0.0) is None
-        assert tr.emit_marker(0.0, "detected", None) is None
-        assert len(tr) == 0
+    def test_disabled_bundle_still_records(self):
+        tm = Telemetry.disabled()
+        tm.tracer.emit("server_start", time=0.0, node_id=0)
+        assert len(tm.tracer) == 1
+        assert tm.metrics.snapshot() == []
+
+    def test_entries_are_plain_tuples(self):
+        tr = Tracer()
+        tr.emit("detected", time=2.0, source="0", mechanism="heartbeat")
+        entry, = tr.entries
+        assert isinstance(entry, TraceEvent)
+        assert list(entry) == [2.0, "detected", "0", {"mechanism": "heartbeat"}]
+        tr.entries.clear()  # a copy: the log is untouched
+        assert len(tr) == 1
 
     def test_bound_clock_stamps_events(self):
         env = Environment()
@@ -79,178 +98,99 @@ class TestSanitize:
         assert sanitize(Opaque()) == "<opaque>"
 
 
+class _Backend(NodeService):
+    service_name = "press"
+
+    def start(self):
+        pass
+
+    @property
+    def listening(self):
+        return self.group.alive and self.host.is_up
+
+
+def _bundle(env):
+    tm = Telemetry.disabled()
+    tm.attach(env)
+    return tm
+
+
 class TestMarkerEvent:
+    """Fault-lifecycle and HA events carry the kind, payload and source
+    that the trace schema in ``repro.obs.events`` documents."""
+
     def test_detected_triple(self):
-        ev = marker_event(10.0, "detected", ("heartbeat", 0, 1))
-        assert ev.kind == EventKind.DETECTED
+        from tests.press.test_press_servers import build_cluster
+
+        env = Environment()
+        servers, _net, _fabric, log, _ = build_cluster(env)
+        env.run(until=2.0)
+        servers[1].inject_crash()
+        env.run(until=4.0)
+        ev = next(e for e in log.events_of("detected") if e.get("observer") == 0)
         assert ev.source == "0"
-        assert ev.data == {"mechanism": "heartbeat", "observer": 0, "target": 1}
+        assert ev.data == {"mechanism": "conn_reset", "observer": 0, "target": 1}
 
     def test_excluded_pair(self):
-        ev = marker_event(10.0, "excluded", (0, 1))
-        assert ev.data == {"observer": 0, "peer": 1}
+        from tests.press.test_press_servers import build_cluster
+
+        env = Environment()
+        servers, _net, _fabric, log, _ = build_cluster(env)
+        env.run(until=2.0)
+        servers[1].inject_crash()
+        env.run(until=4.0)
+        pairs = {(e.source, e.get("observer"), e.get("peer"))
+                 for e in log.events_of("excluded")}
+        assert pairs == {("0", 0, 1), ("2", 2, 1)}
 
     def test_fault_component_payload(self):
-        comp = FaultComponent(FaultKind.APP_HANG, "n2")
-        ev = marker_event(10.0, "fault_injected", comp)
-        assert ev.source == "injector"
-        assert ev.data == {"fault": "app_hang", "target": "n2"}
+        env = Environment()
+        tm = _bundle(env)
+        injector = FaultInjector(env, {"n2": Host(env, "n2", 2)}, telemetry=tm)
+        injector.repair(injector.inject(FaultKind.NODE_FREEZE, "n2"))
+        assert [(e.kind, e.source, e.data) for e in tm.tracer.entries] == [
+            ("fault_injected", "injector", {"fault": "node_freeze", "target": "n2"}),
+            ("fault_repaired", "injector", {"fault": "node_freeze", "target": "n2"}),
+        ]
 
     def test_membership_lists(self):
-        ev = marker_event(10.0, "memb_excluded", [3])
-        assert ev.source == "membership"
-        assert ev.data == {"members": [3]}
+        env = Environment()
+        tm = _bundle(env)
+        net = ClusterNetwork(env)
+        mnet = MembershipNetwork(net)
+        hosts, daemons = [], []
+        for i in range(4):
+            host = Host(env, f"n{i}", i)
+            net.attach(host)
+            daemon = MembershipDaemon(host, i, mnet, MembershipConfig(), tm)
+            daemon.start()
+            hosts.append(host)
+            daemons.append(daemon)
+        bootstrap_membership(daemons)
+        env.run(until=10)
+        hosts[1].crash()
+        env.run(until=60)
+        excluded = tm.tracer.events_of("memb_excluded")
+        assert excluded
+        assert {e.source for e in excluded} == {"membership"}
+        assert {tuple(e.get("members")) for e in excluded} == {(1,)}
 
     def test_frontend_labels(self):
-        ev = marker_event(10.0, "fe_node_down", "n1")
-        assert ev.source == "frontend"
-        assert ev.data == {"node": "n1"}
-
-    def test_unknown_label_passes_through(self):
-        ev = marker_event(10.0, "custom_annotation", {"a": (1,)})
-        assert ev.kind == "custom_annotation"
-        assert ev.data == {"a": [1]}
-        ev2 = marker_event(10.0, "another", 42)
-        assert ev2.data == {"value": 42}
+        env = Environment()
+        tm = _bundle(env)
+        host = Host(env, "n1", 1)
+        FrontEnd(env, Host(env, "fe0", 100), [_Backend(host)],
+                 FrontEndConfig(), telemetry=tm)
+        host.start_all()
+        host.crash()
+        env.run(until=16)  # three lost pings, 5 s apart
+        detected, down = tm.tracer.entries
+        assert detected == TraceEvent(15.0, "detected", "fe0", {
+            "mechanism": "mon", "observer": "fe0", "target": "n1"})
+        assert down == TraceEvent(15.0, "fe_node_down", "frontend",
+                                  {"node": "n1"})
 
     def test_known_kinds_covers_vocabulary(self):
         assert EventKind.QUEUE_SATURATED in KNOWN_KINDS
         assert EventKind.MEMB_VIEW in KNOWN_KINDS
-
-
-class TestTracedMarkerLogFacade:
-    """The facade must be query-for-query identical to a plain MarkerLog."""
-
-    MARKS = [
-        (1.0, "fault_injected", FaultComponent(FaultKind.NODE_CRASH, "n1")),
-        (2.0, "detected", ("heartbeat", 0, 1)),
-        (2.0, "excluded", (0, 1)),
-        (3.0, "fe_node_down", "n1"),
-        (9.0, "detected", ("mon", "fe0", "n1")),
-        (30.0, "fault_repaired", FaultComponent(FaultKind.NODE_CRASH, "n1")),
-        (40.0, "reintegrated", 1),
-    ]
-
-    def _both(self):
-        plain, traced = MarkerLog(), TracedMarkerLog(Tracer())
-        for t, label, data in self.MARKS:
-            plain.mark(t, label, data)
-            traced.mark(t, label, data)
-        return plain, traced
-
-    def test_entries_identical(self):
-        plain, traced = self._both()
-        assert traced.entries == plain.entries
-
-    def test_queries_identical(self):
-        plain, traced = self._both()
-        for label in ("detected", "excluded", "fault_injected", "missing"):
-            assert traced.all(label) == plain.all(label)
-            assert traced.first(label) == plain.first(label)
-            assert traced.last(label) == plain.last(label)
-        assert traced.labels() == plain.labels()
-
-    def test_marks_mirrored_into_tracer(self):
-        _, traced = self._both()
-        events = traced._tracer.events
-        assert len(events) == len(self.MARKS)
-        assert [e.kind for e in events] == [label for _, label, _ in self.MARKS]
-        assert events[0].data == {"fault": "node_crash", "target": "n1"}
-
-    def test_disabled_tracer_keeps_facade_working(self):
-        traced = TracedMarkerLog(Tracer(enabled=False))
-        traced.mark(1.0, "detected", ("heartbeat", 0, 1))
-        assert traced.first("detected") == 1.0
-        assert len(traced._tracer) == 0
-
-
-class TestRingBuffer:
-    """max_events caps in-memory retention without losing subscriber data."""
-
-    def test_unbounded_by_default(self):
-        tr = Tracer()
-        assert tr.max_events is None
-        for i in range(100):
-            tr.emit("server_start", node_id=i)
-        assert len(tr) == 100
-        assert tr.dropped == 0
-
-    def test_cap_drops_oldest(self):
-        tr = Tracer(max_events=3)
-        for i in range(5):
-            tr.emit("server_start", time=float(i), node_id=i)
-        assert tr.max_events == 3
-        assert len(tr) == 3
-        assert [e.data["node_id"] for e in tr.events] == [2, 3, 4]
-        assert tr.dropped == 2
-
-    def test_under_cap_drops_nothing(self):
-        tr = Tracer(max_events=10)
-        for i in range(10):
-            tr.emit("server_start", node_id=i)
-        assert len(tr) == 10
-        assert tr.dropped == 0
-
-    def test_subscribers_see_every_event_beyond_cap(self):
-        tr = Tracer(max_events=2)
-        seen = []
-        tr.subscribe(seen.append)
-        for i in range(6):
-            tr.emit("server_start", node_id=i)
-        assert len(tr) == 2
-        assert [e.data["node_id"] for e in seen] == list(range(6))
-
-    def test_drop_counter_mirrors_drops(self):
-        from repro.obs.metrics import MetricsHub
-
-        hub = MetricsHub()
-        tr = Tracer(max_events=2, drop_counter=hub.counter("trace_events_dropped"))
-        for i in range(5):
-            tr.emit("server_start", node_id=i)
-        assert tr.dropped == 3
-        assert hub.value("trace_events_dropped") == 3.0
-
-    def test_nonpositive_cap_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
-        with pytest.raises(ValueError):
-            Tracer(max_events=-5)
-
-    def test_queries_work_on_capped_stream(self):
-        tr = Tracer(max_events=4)
-        for i in range(8):
-            tr.emit("server_start" if i % 2 else "server_crash", node_id=i)
-        assert [e.data["node_id"] for e in tr.events_of("server_start")] == [5, 7]
-        assert tr.first("server_crash").data["node_id"] == 4
-        tr.clear()
-        assert len(tr) == 0
-
-
-class TestTelemetryRingBufferWiring:
-    def test_trace_max_events_registers_drop_metric(self):
-        from repro.obs.telemetry import Telemetry
-
-        tm = Telemetry(trace_max_events=2)
-        assert tm.tracer.max_events == 2
-        assert tm.metrics.get("trace_events_dropped") is not None
-        for i in range(5):
-            tm.tracer.emit("server_start", node_id=i)
-        assert tm.tracer.dropped == 3
-        assert tm.metrics.value("trace_events_dropped") == 3.0
-
-    def test_default_registers_no_drop_metric(self):
-        from repro.obs.telemetry import Telemetry
-
-        tm = Telemetry()
-        assert tm.tracer.max_events is None
-        assert tm.metrics.get("trace_events_dropped") is None
-
-    def test_disabled_bundle_ignores_cap(self):
-        from repro.obs.telemetry import Telemetry
-
-        tm = Telemetry(enabled=False, trace_max_events=2)
-        assert tm.tracer.emit("server_start") is None
-        assert tm.tracer.dropped == 0
-        assert tm.metrics.snapshot() == []
+        assert EventKind.DB_FAILOVER in KNOWN_KINDS

@@ -11,8 +11,8 @@ from repro.press.config import PressConfig
 from repro.press.fabric import ClusterFabric
 from repro.press.indep import IndepServer
 from repro.press.server import PressServer, bootstrap_cluster
+from repro.obs.telemetry import Telemetry
 from repro.sim.rng import RngRegistry
-from repro.sim.series import MarkerLog
 from repro.workload.client import Request
 from repro.workload.trace import SyntheticTrace, TraceConfig
 
@@ -35,7 +35,8 @@ FAST = PressConfig(
 
 def build_cluster(env, n=3, config=FAST, n_files=100):
     rngs = RngRegistry(7)
-    markers = MarkerLog()
+    telemetry = Telemetry.disabled()
+    telemetry.attach(env)
     net = ClusterNetwork(env)
     fabric = ClusterFabric(env, net)
     trace = SyntheticTrace(TraceConfig(n_files=n_files, file_size=1000), rngs.stream("t"))
@@ -45,11 +46,11 @@ def build_cluster(env, n=3, config=FAST, n_files=100):
         net.attach(host)
         Disk(env, host, 0, DiskParams(seek_time=0.002, jitter=0.0))
         Disk(env, host, 1, DiskParams(seek_time=0.002, jitter=0.0))
-        srv = PressServer(host, i, config, trace, fabric, markers)
+        srv = PressServer(host, i, config, trace, fabric, telemetry)
         srv.start()
         servers.append(srv)
     bootstrap_cluster(servers)
-    return servers, net, fabric, markers, trace
+    return servers, net, fabric, telemetry.tracer, trace
 
 
 def submit(env, server, fid):
@@ -139,22 +140,22 @@ class TestServing:
 
 class TestReconfiguration:
     def test_app_crash_detected_via_connection_reset(self, env, ):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         servers[1].inject_crash()
         env.run(until=4.0)
         assert sorted(servers[0].coop) == [0, 2]
         assert sorted(servers[2].coop) == [0, 2]
-        reasons = {d[0] for _, d in markers.all("detected")}
+        reasons = {e.get("mechanism") for e in log.events_of("detected")}
         assert "conn_reset" in reasons
 
     def test_node_crash_detected_via_heartbeats(self, env):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         servers[1].host.crash()
         env.run(until=25.0)
         assert sorted(servers[0].coop) == [0, 2]
-        reasons = {d[0] for _, d in markers.all("detected")}
+        reasons = {e.get("mechanism") for e in log.events_of("detected")}
         assert "heartbeat" in reasons
 
     def test_rejoin_after_app_restart(self, env):
@@ -199,7 +200,7 @@ class TestReconfiguration:
         assert servers[0].directory.holders(5) == set()
 
     def test_stale_node_dead_announcement_ignored(self, env):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         # n1 is excluded; its later announcements must not be honored
         servers[1].inject_crash()

@@ -6,7 +6,7 @@ from tests.press.test_press_servers import FAST, build_cluster, submit
 
 class TestRejoin:
     def test_lowest_id_member_answers(self, env):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         servers[1].inject_crash()
         env.run(until=4.0)
@@ -15,7 +15,7 @@ class TestRejoin:
         # node 0 (lowest id of the remaining cluster) answered with the
         # configuration; node 1 is wired to everyone again
         assert sorted(servers[1].coop) == [0, 1, 2]
-        assert markers.first("rejoined") is not None
+        assert log.first("rejoined") is not None
 
     def test_rejoiner_receives_cache_state(self, env):
         servers, *_ = build_cluster(env)
@@ -31,7 +31,7 @@ class TestRejoin:
         assert servers[1].directory.holders(9) == {2}
 
     def test_rejoin_retries_until_config_arrives(self, env):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         servers[1].inject_crash()
         net.switch.up = False  # first rejoin broadcast will be lost
@@ -73,7 +73,7 @@ class TestRejoin:
         assert sorted(servers[1].coop) == [1]
 
     def test_config_ignored_once_joined(self, env):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         # a stray config message must not re-wire an already-joined node
         links_before = set(servers[1].links)
@@ -83,11 +83,11 @@ class TestRejoin:
         assert set(servers[1].links) == links_before
 
     def test_reintegration_marker_on_peer_side(self, env):
-        servers, net, fabric, markers, _ = build_cluster(env)
+        servers, net, fabric, log, _ = build_cluster(env)
         env.run(until=2.0)
         servers[1].inject_crash()
         env.run(until=4.0)
         servers[1].repair_crash()
         env.run(until=10.0)
-        reintegrated = [d for _, d in markers.all("reintegrated")]
+        reintegrated = [e.get("peer") for e in log.events_of("reintegrated")]
         assert 1 in reintegrated
