@@ -15,7 +15,7 @@ Semantics chosen to reproduce the paper's fault propagation:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Set
+from typing import Any, Dict, Optional
 
 from repro.sim.kernel import Environment
 from repro.sim.process import Interrupt, Process
@@ -80,9 +80,12 @@ class Connection:
             return
         self.open = False
         for ep in self._endpoints.values():
-            for proc in list(ep._senders):  # reprolint: disable=REP017 -- snapshot required: interrupt() mutates _senders mid-iteration, and reset runs per fault, not per event
+            for proc in ep._senders:
                 proc.interrupt("connection reset")
             ep._senders.clear()
+            # Withdraw blocked sends before dropping the data: clear()
+            # would admit them, and the reader must see only CLOSED.
+            ep.buffer.withdraw_putters()
             ep.buffer.clear()
             ep.buffer.force_put(CLOSED)
 
@@ -97,61 +100,62 @@ class Endpoint:
         self.host = host
         self.peer = peer
         self.buffer: Optional[Store] = None  # this side's receive buffer
-        self._senders: Set[Process] = set()
+        # Processes inside send(), in registration order (a dict, not a
+        # set, so reset interrupts them in a run-independent order).
+        self._senders: Dict[Process, None] = {}
 
     # -- sending ------------------------------------------------------------
-    def send(self, msg: Any, size: int = 128, owner=None) -> Process:
-        """Start a send; the returned process-event succeeds when the
-        message is accepted by the peer's receive buffer and *fails* with
-        :class:`ConnectionClosed` if the connection is reset first."""
-        proc = self.conn.env.process(
-            self._send_body(msg, size), owner=owner, name=f"send->{self.peer.name}"
-        )
-        self._senders.add(proc)
+    def send(self, msg: Any, size: int = 128):
+        """Deliver ``msg`` into the peer's receive buffer.
 
-        def _cleanup(evt) -> None:
-            self._senders.discard(proc)
-            if evt.ok is False:
-                # A send abandoned by connection teardown is expected noise;
-                # mark it handled so an already-gone waiter doesn't turn it
-                # into an unhandled simulation failure.
-                evt._defused = True
-
-        proc.add_callback(_cleanup)
-        return proc
-
-    def _send_body(self, msg: Any, size: int):
-        env = self.conn.env
-        net = self.conn.net
+        A generator that the sending process runs in place with ``yield
+        from``: it returns once the peer's buffer accepts the message and
+        raises :class:`ConnectionClosed` if the connection is reset first.
+        Blocking, retries and freeze/crash parking are the sending
+        process's own, under its own owner.
+        """
+        conn = self.conn
+        env = conn.env
+        net = conn.net
+        host = self.host
+        peer = self.peer  # never rebound after connect; skip the lookups
         # Wire span for traced messages: transfer time + unreachable
         # retries + flow-control blocking all land on this hop.
         ctx = getattr(msg, "ctx", None)
         spans = env.spans if ctx is not None else None
         span = None
         if spans is not None:
-            span = spans.start("net", "network", self.host.name, ctx,
-                               dst=self.peer.name,
+            span = spans.start("net", "network", host.name, ctx,
+                               dst=peer.name,
                                kind=getattr(msg, "kind", None))
-        peer = self.peer  # never rebound after connect; skip the lookups
+        # Registered so that reset can interrupt the sender.  Every resume
+        # below re-checks `conn.open`, so a sender that reset caught can
+        # only leave by raising; a late interrupt then finds it gone.
+        proc = env.active_process
+        self._senders[proc] = None
         try:
             while True:
-                if not self.conn.open:
+                if not conn.open:
                     raise ConnectionClosed(f"to {peer.name}")
-                if net.reachable(self.host, peer):
+                if net.reachable(host, peer):
                     yield env.timeout(net.transfer_time(size))
-                    if not self.conn.open:
+                    if not conn.open:
                         raise ConnectionClosed(f"to {peer.name}")
-                    if net.reachable(self.host, peer):
-                        remote = self.conn.endpoint(peer).buffer
-                        yield remote.put(msg)  # flow control: blocks while full
+                    if net.reachable(host, peer):
+                        remote = conn.endpoint(peer).buffer
+                        if not remote.try_put(msg):
+                            yield remote.put(msg)  # flow control: blocks while full
+                            if not conn.open:
+                                raise ConnectionClosed(f"to {peer.name}")
                         if span is not None:
                             spans.finish(span, outcome="delivered")
                         return
                 else:
                     yield env.timeout(RETRY_INTERVAL)
         except Interrupt:
-            raise ConnectionClosed(f"to {self.peer.name}") from None
+            raise ConnectionClosed(f"to {peer.name}") from None
         finally:
+            self._senders.pop(proc, None)
             # Reset/kill while in flight: close the hop at abort time.
             if span is not None and span.t1 is None:
                 spans.finish(span, outcome="reset")

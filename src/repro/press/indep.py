@@ -136,7 +136,8 @@ class IndepServer(NodeService):
                     else:
                         self.pending_fetch[fid] = [item]
                         self._c_disk.inc()
-                        yield self.disk_q.put(fid)  # blocks when disks stall
+                        if not self.disk_q.try_put(fid):
+                            yield self.disk_q.put(fid)  # blocks when disks stall
             elif kind == "disk":
                 yield timeout(cfg.cpu_disk_done)
                 self.cache.insert(item)

@@ -491,7 +491,8 @@ class PressServer(NodeService):
         self._c_disk.inc()
         # The disk queue put blocks when full — a node with a dead disk
         # stalls itself here no matter which HA techniques are enabled.
-        yield self.disk_q.put(fetch.fid)
+        if not self.disk_q.try_put(fetch.fid):
+            yield self.disk_q.put(fetch.fid)
 
     def _handle_net(self, msg: Message):
         cfg = self.config
@@ -551,9 +552,9 @@ class PressServer(NodeService):
 
     def _blocking_enqueue(self, link: PeerLink, msg: Message):
         """Enqueue with the OS send timeout; returns True if accepted."""
-        put_ev = link.send_q.put(msg)
-        if put_ev.triggered:
+        if link.send_q.try_put(msg):
             return True
+        put_ev = link.send_q.put(msg)
         deadline = self.env.timeout(self.config.send_block_timeout)
         yield AnyOf(self.env, [put_ev, deadline])
         if put_ev.triggered:
@@ -627,7 +628,7 @@ class PressServer(NodeService):
             msg = yield link.send_q.get()
             link.in_flight = True
             try:
-                yield link.endpoint.send(msg, size=msg.size, owner=self.group)
+                yield from link.endpoint.send(msg, size=msg.size)
             except ConnectionClosed:
                 self.ctl_q.force_put(Message("conn_closed", link.peer_id, self.node_id))
                 return
@@ -642,7 +643,9 @@ class PressServer(NodeService):
             if msg is CLOSED:
                 self.ctl_q.force_put(Message("conn_closed", link.peer_id, self.node_id))
                 return
-            yield self.main_q.put(("net", msg))  # blocks when main is stalled
+            item = ("net", msg)
+            if not self.main_q.try_put(item):
+                yield self.main_q.put(item)  # blocks when main is stalled
 
     def _disk_loop(self):
         disks = self.host.disks

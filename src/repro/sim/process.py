@@ -157,9 +157,8 @@ class Process(Event):
         self.owner = owner
         self.name = name or getattr(generator, "__name__", "process")
         #: trace context (repro.obs.spans.Span) this process runs under;
-        #: published to env._spawn_ctx on every resume so child spawns
-        #: inherit it (see Environment.process).  Always None when
-        #: request tracing is off.
+        #: child spawns inherit it through env.active_process (see
+        #: Environment.process).  Always None when request tracing is off.
         self.ctx = ctx
         self._target: Optional[Event] = None
         if owner is not None:
@@ -205,11 +204,12 @@ class Process(Event):
             # crashed: drop silently (kill() will fire shortly/has fired)
             return
         self._target = None
-        # Publish this process's trace context for the duration of the
-        # resume: spawns inside the generator body capture it.  A plain
-        # store (no save/restore) suffices — the next resume overwrites
-        # it, and it is read only synchronously inside spawn calls.
-        self.env._spawn_ctx = self.ctx
+        # Publish the running process for the duration of the resume:
+        # spawns inside the generator body capture its trace context and
+        # in-place sends register it.  A plain store (no save/restore)
+        # suffices — the next resume overwrites it, and it is read only
+        # synchronously inside the body.
+        self.env._active_process = self
         try:
             if event._ok:
                 nxt = self._generator.send(event._value)

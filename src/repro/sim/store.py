@@ -110,17 +110,21 @@ class Store:
     def put_nowait(self, item: Any) -> None:
         """Insert immediately; raise :class:`StoreFullError` if at capacity
         or if earlier putters are still queued (FIFO fairness)."""
-        if self._put_waiters or self.full:
+        if not self.try_put(item):
             raise StoreFullError(f"store {self.name!r} full (capacity={self.capacity})")
-        self.items.append(item)
-        self._reconcile()
 
     def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False instead of raising when full."""
-        try:
-            self.put_nowait(item)
-        except StoreFullError:
+        """Non-blocking put; returns False instead of raising when full.
+
+        A producer that may block calls this first and yields :meth:`put`
+        only when it returns False: an accepted item then costs no
+        :class:`StorePut` event and no resume.
+        """
+        if self._put_waiters or len(self.items) >= self.capacity:
             return False
+        self.items.append(item)
+        if self._get_waiters:
+            self._reconcile()
         return True
 
     def get(self) -> StoreGet:
@@ -150,6 +154,15 @@ class Store:
             put.succeed()
         return len(waiters)
 
+    def withdraw_putters(self) -> None:
+        """Withdraw every queued putter without admitting its item.
+
+        The withdrawn puts never trigger: their producers are expected to
+        be interrupted by the same teardown (a connection reset), so the
+        items must not reach a reader.
+        """
+        self._put_waiters.clear()
+
     def force_put(self, item: Any, front: bool = False) -> None:
         """Insert ignoring the capacity bound (e.g. control sentinels that
         must reach the reader even when the buffer is full)."""
@@ -162,8 +175,9 @@ class Store:
     def clear(self) -> list:
         """Drop all stored items (crash/state-loss); returns what was dropped.
 
-        Queued putters and getters are left queued: their owning processes
-        are expected to be killed/cancelled by the same fault.
+        Queued getters stay queued, and queued putters are then admitted
+        into the freed room.  A teardown whose blocked producers must not
+        deliver calls :meth:`withdraw_putters` first.
         """
         dropped = list(self.items)
         self.items.clear()

@@ -16,15 +16,16 @@ Both PRESS server variants and the test doubles in the suite satisfy it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.events import EventKind
 from repro.obs.telemetry import Telemetry
-from repro.sim.conditions import AnyOf
 from repro.sim.kernel import Environment, Event
+from repro.sim.process import Process
 from repro.workload.stats import Outcome, RequestStats
 from repro.workload.trace import SyntheticTrace
 
@@ -54,6 +55,20 @@ class ClientConfig:
             return self.request_rate
         frac = self.ramp_start + (1.0 - self.ramp_start) * (t / self.ramp_time)
         return self.request_rate * frac
+
+
+class _Expired:
+    """Sentinel value of a response the client gave up waiting for."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<EXPIRED>"
+
+
+#: Value a request's ``response`` event carries when the client's request
+#: timeout expired first; a later server reply finds it triggered.
+EXPIRED = _Expired()
 
 
 class Request:
@@ -116,7 +131,7 @@ class ClientPool:
     __slots__ = ("env", "trace", "router", "stats", "config", "rng",
                  "_started", "_tracer", "_spans", "_next_req_id",
                  "_c_issued", "_c_ok", "_h_latency", "_h_latency_expired",
-                 "_c_fail")
+                 "_c_fail", "_deadlines", "_watchdog")
 
     def __init__(
         self,
@@ -152,6 +167,11 @@ class ClientPool:
             outcome: m.counter("client_requests_failed", outcome=outcome.value)
             for outcome in Outcome if outcome is not Outcome.SUCCESS
         }
+        # (deadline, request) of every accepted request, oldest first.
+        # One request_timeout for all keeps it sorted by deadline; one
+        # watchdog process, alive while the queue is not empty, expires it.
+        self._deadlines: Deque[Tuple[float, Request]] = deque()
+        self._watchdog: Optional[Process] = None
 
     def start(self) -> None:
         """Begin generating requests (idempotent)."""
@@ -203,9 +223,12 @@ class ClientPool:
             return
         spans.finish(conn, outcome="established")
         wait = spans.start("await_reply", "wait", "clients", ctx=req.ctx)
-        deadline = self.env.timeout(cfg.request_timeout)
-        yield AnyOf(self.env, [req.response, deadline])
-        if req.response.triggered:
+        self._deadlines.append((self.env.now + cfg.request_timeout, req))
+        watchdog = self._watchdog
+        if watchdog is None or not watchdog.is_alive:
+            self._watchdog = self.env.process(
+                self._expire(), name="client-deadlines", ctx=None)
+        if (yield req.response) is not EXPIRED:
             latency = self.env.now - req.created
             self.stats.record_success(self.env.now, latency)
             self._c_ok.inc()
@@ -213,9 +236,29 @@ class ClientPool:
             spans.finish(wait, outcome="ok")
             spans.finish(req.ctx, outcome="ok")
         else:
-            req.expired = True
             spans.finish(wait, outcome="expired")
             self._fail(req, Outcome.REQUEST_TIMEOUT)
+
+    def _expire(self):
+        """Watchdog: fail each unanswered request at its deadline.
+
+        Sleeps until the oldest unanswered deadline, scheduled at that
+        absolute time, and drops answered entries as it passes them, so
+        an answered request costs no wake-up and leaves nothing in the
+        kernel's heap.  Returns when the queue empties; ``_issue`` starts
+        a new one on the next accept.
+        """
+        env = self.env
+        deadlines = self._deadlines
+        while deadlines:
+            deadline, req = deadlines[0]
+            if req.response.triggered:
+                deadlines.popleft()
+            elif deadline > env.now:
+                yield env.timeout_at(deadline)
+            else:
+                deadlines.popleft()
+                req.response.succeed(EXPIRED)
 
     def _fail(self, req: Request, outcome: Outcome) -> None:
         req.expired = True

@@ -30,7 +30,7 @@ def test_fifo_delivery_under_any_window(n_msgs, window, consumer_delay):
 
     def sender():
         for i in range(n_msgs):
-            yield conn.endpoint(a).send(i)
+            yield from conn.endpoint(a).send(i)
 
     def receiver():
         while len(received) < n_msgs:
@@ -58,7 +58,7 @@ def test_no_loss_across_a_transient_outage(n_msgs, outage_at, outage_len):
 
     def sender():
         for i in range(n_msgs):
-            yield conn.endpoint(a).send(i)
+            yield from conn.endpoint(a).send(i)
 
     def receiver():
         while len(received) < n_msgs:
@@ -87,7 +87,7 @@ def test_reset_is_always_terminal_for_the_reader(reset_after):
     def sender():
         try:
             for i in range(20):
-                yield conn.endpoint(a).send(i)
+                yield from conn.endpoint(a).send(i)
         except ConnectionClosed:
             pass
 

@@ -47,6 +47,14 @@ class TestEvent:
         with pytest.raises(Boom):
             env.run()
 
+    def test_unhandled_failure_raises_from_step(self, env):
+        class Boom(Exception):
+            pass
+
+        env.event().fail(Boom())
+        with pytest.raises(Boom):
+            env.step()
+
     def test_defused_failure_is_silent(self, env):
         ev = env.event()
         ev.fail(RuntimeError("handled"))
@@ -75,6 +83,33 @@ class TestClock:
     def test_negative_timeout_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+
+    def test_timeout_at_lands_exactly_on_the_given_time(self, env):
+        now, when = 1.313662780951716, 7.487436724145552
+        assert now + (when - now) != when  # why a relative delay won't do
+        env.run(until=now)
+        fired = []
+        env.timeout_at(when, value="v").add_callback(
+            lambda ev: fired.append((env.now, ev.value)))
+        env.run()
+        assert fired == [(when, "v")]
+
+    def test_timeout_at_in_the_past_rejected(self, env):
+        env.run(until=2.0)
+        with pytest.raises(SimulationError):
+            env.timeout_at(1.0)
+
+    def test_active_process_is_the_resumed_one(self, env):
+        seen = []
+
+        def body():
+            seen.append(env.active_process)
+            yield env.timeout(1)
+            seen.append(env.active_process)
+
+        procs = [env.process(body()) for _ in range(2)]
+        env.run()
+        assert seen == [procs[0], procs[1], procs[0], procs[1]]
 
     def test_events_beyond_until_stay_queued(self, env):
         seen = []

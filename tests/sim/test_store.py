@@ -178,6 +178,18 @@ class TestTeardown:
         assert store.clear() == [1, 2]
         assert store.level == 0
 
+    def test_clear_admits_queued_putters_unless_withdrawn(self, env):
+        store = Store(env, capacity=1)
+        store.put_nowait("a")
+        first = store.put("b")
+        assert store.clear() == ["a"]
+        assert first.triggered and list(store.items) == ["b"]
+        second = store.put("c")
+        store.withdraw_putters()
+        store.clear()
+        env.run()
+        assert not second.triggered and store.level == 0
+
     def test_force_put_ignores_capacity(self, env):
         store = Store(env, capacity=1)
         store.put_nowait("a")

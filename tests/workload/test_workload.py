@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.host import Host, NodeService
-from repro.workload.client import ClientConfig, ClientPool, DnsRouter
+from repro.workload.client import EXPIRED, ClientConfig, ClientPool, DnsRouter
 from repro.workload.stats import Outcome, RequestStats
 from repro.workload.trace import SyntheticTrace, TraceConfig
 
@@ -206,3 +206,86 @@ class TestClients:
         assert stats.succeeded == 0
         assert stats.outcomes[Outcome.REQUEST_TIMEOUT] > 100
         assert stats.completed <= stats.issued
+
+
+class RecordingStats(RequestStats):
+    """RequestStats that also keeps every failure as (time, outcome, latency)."""
+
+    def __init__(self):
+        super().__init__()
+        self.failures = []
+
+    def record_failure(self, time, outcome, latency=None):
+        super().record_failure(time, outcome, latency=latency)
+        self.failures.append((time, outcome, latency))
+
+
+class SlowBackend(EchoBackend):
+    """Records every accepted request with its accept time; replies after
+    ``delay`` (``None``: never)."""
+
+    def __init__(self, host, delay=None):
+        super().__init__(host, delay=delay)
+        self.log = []
+
+    def try_accept(self, req):
+        self.log.append((self.env.now, req))
+        if self.delay is None:
+            return True
+        return super().try_accept(req)
+
+
+class TestDeadlineQueue:
+    """One watchdog expires every accepted request from a FIFO of deadlines."""
+
+    def _pool(self, env, rngs, backend, stats, rate=20.0):
+        trace = SyntheticTrace(TraceConfig(n_files=10), rngs.stream("t"))
+        cfg = ClientConfig(request_rate=rate)
+        ClientPool(env, trace, DnsRouter([backend]), stats, cfg,
+                   rngs.stream("c")).start()
+        return cfg
+
+    def test_unanswered_request_expires_exactly_at_its_deadline(self, env, rngs):
+        backend = SlowBackend(Host(env, "n0", 0), delay=None)
+        stats = RecordingStats()
+        cfg = self._pool(env, rngs, backend, stats)
+        env.run(until=20)
+        expired = [(t, req) for t, req in backend.log
+                   if t + cfg.request_timeout <= 20]
+        assert len(expired) > 50
+        assert len(stats.failures) == len(expired)
+        for (t_accept, req), (t_fail, outcome, latency) in zip(expired,
+                                                              stats.failures):
+            assert outcome is Outcome.REQUEST_TIMEOUT
+            assert t_fail == t_accept + cfg.request_timeout  # exactly
+            # the censored give-up latency: connect round trip + timeout
+            assert latency == t_fail - req.created
+            assert latency == pytest.approx(cfg.network_rtt
+                                            + cfg.request_timeout)
+            assert req.expired and req.response.value is EXPIRED
+
+    def test_reply_after_expiry_is_counted_once(self, env, rngs):
+        backend = SlowBackend(Host(env, "n0", 0), delay=7.0)
+        stats = RecordingStats()
+        cfg = self._pool(env, rngs, backend, stats)
+        env.run(until=20)
+        late = [req for t, req in backend.log if t + backend.delay <= 20]
+        assert len(late) > 50
+        assert all(req.response.value is EXPIRED for req in late)
+        assert stats.succeeded == 0
+        expired = sum(1 for t, _ in backend.log
+                      if t + cfg.request_timeout <= 20)
+        assert stats.outcomes[Outcome.REQUEST_TIMEOUT] == expired
+        assert len(stats.failures) == expired
+
+    def test_answered_requests_leave_no_deadlines_in_the_heap(self, env, rngs):
+        backend = SlowBackend(Host(env, "n0", 0), delay=0.01)
+        stats = RequestStats()
+        cfg = self._pool(env, rngs, backend, stats, rate=100.0)
+        env.run(until=5.5)
+        assert stats.succeeded > 400
+        # Every answered request's deadline lies at or after
+        # request_timeout; only the watchdog's one wake-up may.
+        later = [entry for entry in env._queue
+                 if entry[0] >= cfg.request_timeout]
+        assert len(later) <= 1
