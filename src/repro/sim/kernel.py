@@ -22,7 +22,7 @@ makes calendar-queue / lazy-heap refactors of this scheduler safe.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -94,7 +94,13 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay=delay, priority=priority)
+        env = self.env
+        if env._direct and delay >= 0 and not self._scheduled:
+            self._scheduled = True
+            env._seq += 1
+            heappush(env._queue, (env._now + delay, priority, env._seq, self))
+        else:
+            env.schedule_at(self, env._now + delay, priority)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0, priority: int = NORMAL) -> "Event":
@@ -104,7 +110,8 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, delay=delay, priority=priority)
+        # off the hot path: always the checked push
+        self.env.schedule_at(self, self.env._now + delay, priority)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -136,11 +143,21 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined: the commonest event kind.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        if env._direct:
+            self._scheduled = True
+            env._seq += 1
+            heappush(env._queue, (env._now + delay, NORMAL, env._seq, self))
+        else:
+            self._scheduled = False
+            env.schedule_at(self, env._now + delay)
 
 
 class Environment:
@@ -154,7 +171,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_processed", "_stopped",
-                 "_tiebreak_seed", "_monitor", "_spans", "_active_process")
+                 "_tiebreak_seed", "_monitor", "_direct", "_spans",
+                 "_active_process")
 
     def __init__(self, initial_time: float = 0.0, monitor=None,
                  tiebreak_seed: Optional[int] = None):
@@ -176,6 +194,10 @@ class Environment:
         # pays one `is not None` check per schedule/step; with no monitor
         # attached the loop is byte-for-byte the unprofiled one.
         self._monitor = monitor
+        # True when neither mode is on: Timeout() and succeed() then
+        # push their 4-tuple inline; otherwise they go through
+        # schedule_at, the one push that salts and reports.
+        self._direct = monitor is None and tiebreak_seed is None
         # Causal-tracing hook (see repro.obs.spans): the world's
         # SpanRecorder when request tracing is on (bound by
         # Telemetry.attach), else None, so recording cannot perturb an
@@ -230,6 +252,7 @@ class Environment:
         """Attach an object with ``on_schedule(depth)``/``on_event(event,
         callbacks)`` hooks; pass None to detach and restore the fast path."""
         self._monitor = monitor
+        self._direct = monitor is None and self._tiebreak_seed is None
 
     @property
     def spans(self):
@@ -251,7 +274,8 @@ class Environment:
         self.schedule_at(event, self._now + delay, priority)
 
     def schedule_at(self, event: Event, when: float, priority: int = NORMAL) -> None:
-        """Schedule ``event`` at absolute time ``when``."""
+        """Schedule ``event`` at absolute time ``when``: the checked push,
+        which ``Timeout()`` and ``succeed()`` skip only in plain mode."""
         if when < self._now:
             raise SimulationError(f"cannot schedule in the past (at={when}, now={self._now})")
         if event._scheduled:
@@ -259,10 +283,10 @@ class Environment:
         event._scheduled = True
         self._seq += 1
         if self._tiebreak_seed is None:
-            heapq.heappush(self._queue, (when, priority, self._seq, event))
+            heappush(self._queue, (when, priority, self._seq, event))
         else:
             salt = _splitmix64(self._seq ^ self._tiebreak_seed)
-            heapq.heappush(self._queue, (when, priority, salt, self._seq, event))
+            heappush(self._queue, (when, priority, salt, self._seq, event))
         if self._monitor is not None:
             self._monitor.on_schedule(len(self._queue))
 
@@ -319,7 +343,7 @@ class Environment:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("step() on empty queue")
-        entry = heapq.heappop(self._queue)
+        entry = heappop(self._queue)
         time = entry[0]
         event = entry[-1]
         if time < self._now:  # pragma: no cover - defensive
@@ -368,7 +392,7 @@ class Environment:
             while queue and queue[0][0] <= limit:
                 self.step()
         else:
-            pop = heapq.heappop
+            pop = heappop
             while queue and queue[0][0] <= limit:
                 entry = pop(queue)
                 event = entry[-1]

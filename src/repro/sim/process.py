@@ -140,7 +140,8 @@ class Process(Event):
     killed (value = :data:`KILLED`).
     """
 
-    __slots__ = ("_generator", "owner", "name", "_target", "ctx")
+    __slots__ = ("_generator", "owner", "name", "_target", "ctx",
+                 "_resume_cb")
 
     def __init__(
         self,
@@ -161,6 +162,9 @@ class Process(Event):
         #: Environment.process).  Always None when request tracing is off.
         self.ctx = ctx
         self._target: Optional[Event] = None
+        # bound once: every resume appends it to the next target.  It
+        # refers back to the process, so _finish drops it.
+        self._resume_cb: Optional[Callable[[Event], None]] = self._resume
         if owner is not None:
             owner.attach(self)
         bootstrap = Event(env)
@@ -189,17 +193,17 @@ class Process(Event):
 
     # -- event delivery ---------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        if self._ok is not None:
             # Late delivery to a finished/killed process: consume failures
             # so the kernel does not raise them as unhandled.
             if event._ok is False:
                 event._defused = True
             return
         owner = self.owner
-        if owner is not None and not owner.is_runnable():
+        if owner is not None and (owner._frozen or not owner._owner_alive):
             if event._ok is False:
                 event._defused = True
-            if owner.alive:  # frozen: hold for thaw
+            if owner._owner_alive:  # frozen: hold for thaw
                 owner.park(lambda: self._resume(event))
             # crashed: drop silently (kill() will fire shortly/has fired)
             return
@@ -209,7 +213,8 @@ class Process(Event):
         # in-place sends register it.  A plain store (no save/restore)
         # suffices — the next resume overwrites it, and it is read only
         # synchronously inside the body.
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         try:
             if event._ok:
                 nxt = self._generator.send(event._value)
@@ -220,21 +225,29 @@ class Process(Event):
             self._finish(stop.value)
             return
         except BaseException as exc:
-            if self.owner is not None:
-                self.owner.detach(self)
-            self.fail(exc)
+            self._finish(None, exc)
             return
         if not isinstance(nxt, Event):
             raise SimulationError(f"process {self.name!r} yielded non-event {nxt!r}")
-        if nxt.env is not self.env:
+        if nxt.env is not env:
             raise SimulationError("yielded event belongs to a different Environment")
         self._target = nxt
-        nxt.add_callback(self._resume)
+        callbacks = nxt.callbacks
+        if callbacks is None:  # already processed: resume at once
+            self._resume(nxt)
+        else:
+            callbacks.append(self._resume_cb)
 
-    def _finish(self, value: Any) -> None:
+    def _finish(self, value: Any, failure: Optional[BaseException] = None) -> None:
         if self.owner is not None:
             self.owner.detach(self)
-        self.succeed(value)
+        # without the cycle through the bound callback, a finished
+        # process is freed by reference counting, not by the collector
+        self._resume_cb = None
+        if failure is None:
+            self.succeed(value)
+        else:
+            self.fail(failure)
 
     # -- external control ---------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
@@ -264,9 +277,7 @@ class Process(Event):
             self._detach_from_target()
             self._target = None
         self._generator.close()
-        if self.owner is not None:
-            self.owner.detach(self)
-        self.succeed(KILLED)
+        self._finish(KILLED)
 
     def _detach_from_target(self) -> None:
         """Withdraw from a cancellable target (e.g. a queued Store get/put)."""

@@ -11,9 +11,12 @@ builtin ``hash`` is salted per interpreter and must not be used here.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Any, Callable, Dict, Iterator
 
 import numpy as np
+
+#: draws per block of :func:`blocks`
+BLOCK = 256
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -53,3 +56,16 @@ class RngRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams
+
+
+def blocks(draw: Callable[[int], np.ndarray]) -> Iterator[Any]:
+    """The values of ``draw(BLOCK)``, ``draw(BLOCK)``, ..., one at a time.
+
+    For a consumer that made one scalar draw per event: numpy draws a
+    block element by element exactly as it draws scalars, so the values
+    are the scalar sequence at a fraction of the per-call cost.  The
+    stream runs up to ``BLOCK`` draws ahead, so nothing else may draw
+    from it.
+    """
+    while True:
+        yield from draw(BLOCK).tolist()

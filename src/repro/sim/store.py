@@ -48,7 +48,14 @@ class StoreGet(Event):
     __slots__ = ("_store")
 
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
+        # Event.__init__ inlined: one per server-loop receive.
+        self.env = store.env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._scheduled = False
+        self._processed = False
+        self._defused = False
         self._store = store
 
     def cancel(self) -> None:
@@ -122,15 +129,26 @@ class Store:
         """
         if self._put_waiters or len(self.items) >= self.capacity:
             return False
-        self.items.append(item)
-        if self._get_waiters:
-            self._reconcile()
+        if self._get_waiters:  # empty: hand the item over
+            self._get_waiters.popleft().succeed(item)
+        else:
+            self.items.append(item)
         return True
 
     def get(self) -> StoreGet:
         ev = StoreGet(self)
-        self._get_waiters.append(ev)
-        self._reconcile()
+        items = self.items
+        if not items:
+            self._get_waiters.append(ev)
+            return ev
+        # No getter is queued while items are stored: take the head and
+        # admit the oldest putter into the slot it frees, as _reconcile
+        # would.
+        ev.succeed(items.popleft())
+        if self._put_waiters and len(items) < self.capacity:
+            put = self._put_waiters.popleft()
+            items.append(put.item)
+            put.succeed()
         return ev
 
     def get_nowait(self) -> Any:
@@ -166,11 +184,12 @@ class Store:
     def force_put(self, item: Any, front: bool = False) -> None:
         """Insert ignoring the capacity bound (e.g. control sentinels that
         must reach the reader even when the buffer is full)."""
-        if front:
+        if self._get_waiters:  # empty: hand the item over
+            self._get_waiters.popleft().succeed(item)
+        elif front:
             self.items.appendleft(item)
         else:
             self.items.append(item)
-        self._reconcile()
 
     def clear(self) -> list:
         """Drop all stored items (crash/state-loss); returns what was dropped.

@@ -26,6 +26,7 @@ from repro.obs.events import EventKind
 from repro.obs.telemetry import Telemetry
 from repro.sim.kernel import Environment, Event
 from repro.sim.process import Process
+from repro.sim.rng import blocks
 from repro.workload.stats import Outcome, RequestStats
 from repro.workload.trace import SyntheticTrace
 
@@ -182,9 +183,12 @@ class ClientPool:
 
     # -- generation ------------------------------------------------------------
     def _arrivals(self):
+        # rng.exponential(scale) is scale * standard_exponential(), so the
+        # gaps are the scalar draws' bit for bit, ramp included
+        gaps = blocks(self.rng.standard_exponential)
         while True:
             mean_gap = 1.0 / self.config.rate_at(self.env.now)
-            yield self.env.timeout(float(self.rng.exponential(mean_gap)))
+            yield self.env.timeout(mean_gap * next(gaps))
             fid = self.trace.sample_file()
             req = Request(self.env, fid, self.trace.file_size(fid))
             self._next_req_id += 1

@@ -13,7 +13,19 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.sim.rng import BLOCK
 from repro.sim.series import ThroughputSeries
+
+
+def _replacement_indices(rng: np.random.Generator, seen: int):
+    """Algorithm R's ``integers(0, k)`` for k = seen+1, seen+2, ...
+
+    One call per block: numpy draws an array of bounds element by
+    element, exactly as it draws the scalars.
+    """
+    while True:
+        yield from rng.integers(0, np.arange(seen + 1, seen + BLOCK + 1)).tolist()
+        seen += BLOCK
 
 
 class LatencyReservoir:
@@ -23,7 +35,7 @@ class LatencyReservoir:
     (Vitter's algorithm R); deterministic given a seed.
     """
 
-    __slots__ = ("capacity", "_samples", "_seen", "_rng")
+    __slots__ = ("capacity", "_samples", "_seen", "_rng", "_picks")
 
     def __init__(self, capacity: int = 4096, seed: int = 0):
         if capacity <= 0:
@@ -32,13 +44,14 @@ class LatencyReservoir:
         self._samples: list = []
         self._seen = 0
         self._rng = np.random.default_rng(seed)
+        self._picks = _replacement_indices(self._rng, capacity)
 
     def add(self, value: float) -> None:
         self._seen += 1
         if len(self._samples) < self.capacity:
             self._samples.append(value)
             return
-        j = int(self._rng.integers(0, self._seen))
+        j = next(self._picks)
         if j < self.capacity:
             self._samples[j] = value
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.rng import blocks
+
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -42,7 +44,7 @@ class SyntheticTrace:
     tests easy to reason about.
     """
 
-    __slots__ = ("config", "rng", "_pmf", "_cdf")
+    __slots__ = ("config", "rng", "_pmf", "_cdf", "_fids")
 
     def __init__(self, config: TraceConfig, rng: np.random.Generator):
         self.config = config
@@ -52,6 +54,7 @@ class SyntheticTrace:
         self._pmf = weights / weights.sum()
         self._cdf = np.cumsum(self._pmf)
         self._cdf[-1] = 1.0  # guard against fp drift
+        self._fids = blocks(self.sample_files)
 
     @property
     def n_files(self) -> int:
@@ -63,12 +66,12 @@ class SyntheticTrace:
         return self.config.file_size
 
     def sample_file(self) -> int:
-        """Draw one file id."""
-        u = self.rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right"))
+        """Draw one file id: the scalar sequence, drawn in blocks."""
+        return next(self._fids)
 
     def sample_files(self, n: int) -> np.ndarray:
-        """Vectorized draw of ``n`` file ids."""
+        """Vectorized draw of ``n`` file ids, straight from the stream
+        (so not to be mixed with :meth:`sample_file` on one trace)."""
         u = self.rng.random(n)
         return np.searchsorted(self._cdf, u, side="right")
 

@@ -312,3 +312,133 @@ class TestTiebreakPerturbation:
         assert len(outs) == 1000  # no collisions over a small domain
         assert _splitmix64(42) == _splitmix64(42)
         assert all(0 <= v < 2 ** 64 for v in outs)
+
+
+class _CountingMonitor:
+    """Records the queue depth of every ``on_schedule`` call."""
+
+    def __init__(self):
+        self.depths = []
+
+    def on_schedule(self, depth):
+        self.depths.append(depth)
+
+    def on_event(self, event, callbacks):
+        pass
+
+    def on_event_done(self, event):
+        pass
+
+
+def _sleeper(env):
+    yield env.timeout(5.0)
+
+
+def _interrupt(env):
+    proc = env.process(_sleeper(env))
+    env.step()  # bootstrap: the process now waits on its timeout
+    return proc.interrupt
+
+
+#: every way to schedule an event: prepare(env) -> the scheduling action
+SCHEDULING_PATHS = {
+    "Timeout": lambda env: lambda: env.timeout(1.0),
+    "timeout_at": lambda env: lambda: env.timeout_at(1.0),
+    "succeed": lambda env: lambda: env.event().succeed(1, delay=1.0),
+    "fail": lambda env: lambda: env.event().fail(RuntimeError("x")),
+    "schedule": lambda env: lambda: env.schedule(env.event(), delay=1.0),
+    "process bootstrap": lambda env: lambda: env.process(_sleeper(env)),
+    "interrupt": _interrupt,
+}
+
+
+class TestSchedulingModes:
+    """The inline push serves only the plain mode; with a monitor or a
+    tie-break seed every path reports once per scheduled event and
+    pushes salted 5-tuples."""
+
+    @pytest.mark.parametrize("path", sorted(SCHEDULING_PATHS))
+    @pytest.mark.parametrize("monitored,seed", [
+        (False, None), (True, None), (False, 7), (True, 7)])
+    def test_every_path_reports_and_salts(self, path, monitored, seed):
+        monitor = _CountingMonitor() if monitored else None
+        env = Environment(monitor=monitor, tiebreak_seed=seed)
+        act = SCHEDULING_PATHS[path](env)
+        before = env.scheduled_count
+        reported = len(monitor.depths) if monitored else 0
+        act()
+        assert env.scheduled_count == before + 1
+        if monitored:
+            assert len(monitor.depths) == reported + 1
+            assert monitor.depths[-1] == len(env._queue)
+        width = 4 if seed is None else 5
+        assert [len(entry) for entry in env._queue] == [width] * len(env._queue)
+
+    def test_attaching_a_monitor_leaves_the_inline_push(self):
+        env = Environment()
+        monitor = _CountingMonitor()
+        env.timeout(1.0)
+        env.set_monitor(monitor)
+        env.timeout(1.0)
+        env.event().succeed()
+        env.set_monitor(None)
+        env.timeout(1.0)
+        assert monitor.depths == [2, 3]
+        assert env.scheduled_count == 4
+
+    def test_monitored_run_processes_the_same_order(self):
+        def scenario(monitor):
+            from repro.sim.store import Store
+
+            env = Environment(monitor=monitor)
+            store = Store(env, capacity=1)
+            order = []
+
+            def producer(i):
+                for k in range(3):
+                    yield env.timeout(0.5 * i)
+                    if not store.try_put((i, k)):
+                        yield store.put((i, k))
+
+            def consumer():
+                while True:
+                    item = yield store.get()
+                    order.append((env.now, item))
+                    yield env.timeout(0.25)
+
+            for i in range(3):
+                env.process(producer(i))
+            env.process(consumer())
+            env.run(until=20.0)
+            return order, env.processed_count, env.scheduled_count
+
+        assert scenario(None) == scenario(_CountingMonitor())
+
+    def test_checks_hold_on_the_inline_path(self, env):
+        with pytest.raises(SimulationError):
+            env.event().succeed(delay=-1.0)
+        with pytest.raises(SimulationError):
+            env.event().fail(RuntimeError("x"), delay=-1.0)
+        ev = env.event()
+        env.schedule(ev)  # scheduled untriggered
+        with pytest.raises(SimulationError):
+            ev.succeed()
+
+    def test_timeout_and_store_get_start_like_a_plain_event(self, env):
+        from repro.sim.kernel import Event
+        from repro.sim.store import Store
+
+        def state(ev):
+            return {name: getattr(ev, name) for name in Event.__slots__
+                    if name not in ("_ok", "_value", "_scheduled")}
+
+        plain = state(env.event())
+        assert plain == {"env": env, "callbacks": [], "_processed": False,
+                         "_defused": False}
+        timeout = env.timeout(1.0, "v")
+        assert state(timeout) == plain
+        assert (timeout._ok, timeout._value, timeout._scheduled) == (
+            True, "v", True)
+        get = Store(env).get()
+        assert state(get) == plain
+        assert (get._ok, get._value, get._scheduled) == (None, None, False)

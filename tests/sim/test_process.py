@@ -80,6 +80,36 @@ class TestLifecycle:
         assert not proc.is_alive
 
 
+    def test_finished_processes_need_no_cycle_collector(self, env):
+        """Returned and killed processes are freed by reference counting
+        alone: none keeps itself alive through its bound resume callback.
+        (A failed one is held by its exception's traceback until then.)"""
+        import gc
+
+        from repro.sim.process import Process
+
+        def body():
+            yield env.timeout(1.0)
+
+        def alive():  # env.active_process holds the last one resumed
+            return sum(isinstance(o, Process) and o is not env.active_process
+                       for o in gc.get_objects())
+
+        gc.collect()
+        baseline = alive()
+        gc.disable()
+        try:
+            for i in range(20):
+                proc = env.process(body())
+                if i % 2:
+                    proc.kill()
+            env.run()
+            del proc
+            assert alive() == baseline
+        finally:
+            gc.enable()
+
+
 class TestKill:
     def test_kill_stops_execution(self, env):
         log = []

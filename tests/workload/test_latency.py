@@ -49,6 +49,25 @@ class TestReservoir:
 
         assert fill(3) == fill(3)
 
+    def test_block_draws_equal_scalar_algorithm_r(self):
+        """Replacement indices are drawn a block at a time; the contents
+        must equal algorithm R with one scalar draw per add."""
+        capacity, seed = 500, 4
+        values = np.random.default_rng(9).exponential(1.0, 3 * capacity)
+        r = LatencyReservoir(capacity=capacity, seed=seed)
+        rng = np.random.default_rng(seed)
+        ref = []
+        for seen, v in enumerate(values.tolist(), start=1):
+            r.add(v)
+            if len(ref) < capacity:
+                ref.append(v)
+            else:
+                j = int(rng.integers(0, seen))
+                if j < capacity:
+                    ref[j] = v
+        assert r.seen == len(values)
+        assert r._samples == ref
+
 
 class TestStatsIntegration:
     def test_percentiles_from_successes(self):

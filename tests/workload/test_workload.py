@@ -289,3 +289,37 @@ class TestDeadlineQueue:
         later = [entry for entry in env._queue
                  if entry[0] >= cfg.request_timeout]
         assert len(later) <= 1
+
+
+class TestBlockDraws:
+    """Gaps and file ids are drawn in numpy blocks but must equal the
+    scalar draws one request at a time, through the warm-up ramp."""
+
+    def test_first_requests_match_the_scalar_sequence(self, env, rngs):
+        class RecordingRouter(DnsRouter):
+            def __init__(self):
+                self.fids = []
+
+            def pick(self, request):
+                self.fids.append(request.fid)
+                return None  # no route: nothing else draws or schedules
+
+        cfg = ClientConfig(request_rate=30.0, ramp_time=45.0)
+        trace = SyntheticTrace(TraceConfig(n_files=100), rngs.stream("t"))
+        router, stats = RecordingRouter(), RequestStats()
+        ClientPool(env, trace, router, stats, cfg, rngs.stream("c")).start()
+        env.run(until=60.0)
+        assert stats.issued > 1000
+
+        ref = type(rngs)(rngs.master_seed)
+        gaps_rng, fids_rng = ref.stream("c"), ref.stream("t")
+        cdf = SyntheticTrace(TraceConfig(n_files=100), fids_rng)._cdf
+        now, times, fids = 0.0, [], []
+        while len(times) < stats.issued:
+            now = now + float(gaps_rng.exponential(1.0 / cfg.rate_at(now)))
+            times.append(now)
+            fids.append(int(np.searchsorted(cdf, fids_rng.random(),
+                                            side="right")))
+        assert sum(t < cfg.ramp_time for t in times) > 500
+        assert stats.issued_series.times.tolist() == times
+        assert router.fids == fids
